@@ -19,9 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .graphs import (
+    Classification,
+    CutSetCensus,
     Graph,
     classify,
     components_within,
@@ -217,11 +220,7 @@ def rauh_basis(g: Graph, rows: int) -> Ideal:
 def initial_ideal(g: Graph, rows: int) -> tuple[Monomial, ...]:
     """Minimal generators of the initial ideal: one squarefree monomial per
     basis element, sorted descending."""
-    leads = [f.leading_monomial() for f in rauh_basis(g, rows).groebner()]
-    for m in leads:
-        if not m.is_squarefree():
-            raise BasisValidationError(f"initial ideal generator {m} is not squarefree")
-    return minimal_generators(leads)
+    return Analysis(g, rows).initial_ideal
 
 
 # ---------------------------------------------------------------------------
@@ -239,48 +238,21 @@ class MinimalPrime:
 
 
 def minimal_primes(g: Graph, rows: int) -> tuple[MinimalPrime, ...]:
-    _require_rows(rows)
-    if g.n > 12:
-        raise ValueError(f"prime enumeration is exhaustive over subsets; n={g.n} > 12")
-    census = cut_set_census(g)
-    primes = []
-    for t in census.cut_point_sets:
-        rest = [v for v in range(1, g.n + 1) if v not in t]
-        comps = components_within(g, rest) if rest else ()
-        gens: list[Polynomial] = [
-            Polynomial.variable((i, j)) for j in sorted(t) for i in range(1, rows + 1)
-        ]
-        for comp in comps:
-            for i, j in combinations(comp, 2):
-                for k, l in combinations(range(1, rows + 1), 2):
-                    gens.append(minor((k, l), (i, j)))
-        dim = g.n - len(t) + len(comps) * (rows - 1)
-        primes.append(MinimalPrime(cut_set=t, components=comps, ideal=Ideal(gens), dimension=dim))
-    return tuple(primes)
+    return Analysis(g, rows).minimal_primes
 
 
 def krull_dimension(g: Graph, rows: int) -> tuple[int, dict[frozenset[int], int]]:
     """Dimension of the quotient and the per-prime dimensions, keyed by
     cut-point set."""
-    _require_rows(rows)
-    census = cut_set_census(g)
-    per_prime = {
-        t: g.n - len(t) + census.component_counts[t] * (rows - 1)
-        for t in census.cut_point_sets
-    }
-    return max(per_prime.values()), per_prime
+    analysis = Analysis(g, rows)
+    return analysis.dimension, analysis.prime_dimensions
 
 
 def is_unmixed(g: Graph, rows: int) -> bool:
     """True when every cut-point set T satisfies
     (c(T) - 1) * (rows - 1) == |T|, i.e. all minimal primes share one
     dimension."""
-    _require_rows(rows)
-    census = cut_set_census(g)
-    return all(
-        (census.component_counts[t] - 1) * (rows - 1) == len(t)
-        for t in census.cut_point_sets
-    )
+    return Analysis(g, rows).unmixed
 
 
 # ---------------------------------------------------------------------------
@@ -302,57 +274,173 @@ class FormulaResult:
             raise ValueError("invariant values are nonnegative")
 
 
-def _component_graphs(g: Graph) -> list[Graph]:
-    return [induced_subgraph(g, comp)[0] for comp in connected_components(g)]
-
-
-def _require_generalized_block(parts: list[Graph]):
-    for part in parts:
-        if not classify(part).generalized_block_graph:
-            raise ValueError(
-                "closed-form invariants apply only when every connected "
-                "component is a generalized block graph"
-            )
-
-
 def depth_formula(g: Graph, rows: int) -> FormulaResult:
     """Exact depth of the quotient: per connected component,
     vertices + rows - 1 minus (i - 1) for each minimal cut set of each
     cardinality i >= 2; components add."""
-    _require_rows(rows)
-    parts = _component_graphs(g)
-    _require_generalized_block(parts)
-    total = 0
-    corrected = False
-    for part in parts:
-        census = cut_set_census(part)
-        corr = sum((i - 1) * census.a(i) for i in range(2, census.clique_number))
-        if corr:
-            corrected = True
-        total += part.n + (rows - 1) - corr
-    if corrected:
-        origin = "generalized-block depth formula with cut-set correction"
-    else:
-        origin = "block-graph depth formula: vertices + rows - 1"
-    if len(parts) > 1:
-        origin += f", added over {len(parts)} components"
-    return FormulaResult("depth", "exact", total, origin)
+    return Analysis(g, rows).depth
 
 
 def regularity_formula(g: Graph, rows: int) -> FormulaResult:
     """Regularity of the quotient: each component of size k contributes
     k - 1, exactly when rows >= total vertex count or the component is a
     path, and as an upper bound otherwise; components add."""
-    _require_rows(rows)
-    parts = _component_graphs(g)
-    _require_generalized_block(parts)
-    value = sum(part.n - 1 for part in parts)
-    if rows >= g.n:
-        return FormulaResult("regularity", "exact", value, "exact: row count at least vertex count")
-    if all(is_path(part) for part in parts):
-        return FormulaResult("regularity", "exact", value, "exact: every component is a path")
-    origin = "upper bound: fewer rows than vertices and a non-path component"
-    return FormulaResult("regularity", "upper-bound", value, origin)
+    return Analysis(g, rows).regularity
+
+
+# ---------------------------------------------------------------------------
+# one analysis per (graph, rows)
+
+@dataclass(frozen=True)
+class Analysis:
+    """Every object derived from one graph and row count, each computed at
+    most once, on first use, and shared by every consumer.
+
+    The module-level functions above (depth_formula, krull_dimension,
+    initial_ideal, ...) each build a fresh Analysis and read one field;
+    callers that need several of them should build one Analysis and read
+    them all from it.
+    """
+
+    graph: Graph
+    rows: int
+
+    def __post_init__(self):
+        _require_rows(self.rows)
+
+    @cached_property
+    def classification(self) -> Classification:
+        return classify(self.graph)
+
+    @cached_property
+    def census(self) -> CutSetCensus:
+        return cut_set_census(self.graph)
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return connected_components(self.graph)
+
+    @property
+    def parts(self) -> tuple[Analysis, ...]:
+        """One analysis per connected component, relabeled 1..k in vertex
+        order.  A connected graph is its own only part, so it shares this
+        analysis rather than recomputing it on an equal copy."""
+        if len(self.components) == 1:
+            return (self,)
+        return self._component_analyses
+
+    @cached_property
+    def _component_analyses(self) -> tuple[Analysis, ...]:
+        return tuple(
+            Analysis(induced_subgraph(self.graph, comp)[0], self.rows)
+            for comp in self.components
+        )
+
+    @cached_property
+    def generalized_block(self) -> bool:
+        """Whether every connected component is a generalized block graph,
+        the hypothesis of the closed-form depth and regularity."""
+        return all(part.classification.generalized_block_graph for part in self.parts)
+
+    def _require_generalized_block(self):
+        if not self.generalized_block:
+            raise ValueError(
+                "closed-form invariants apply only when every connected "
+                "component is a generalized block graph"
+            )
+
+    @cached_property
+    def depth(self) -> FormulaResult:
+        """See depth_formula."""
+        self._require_generalized_block()
+        total = 0
+        corrected = False
+        for part in self.parts:
+            census = part.census
+            corr = sum((i - 1) * census.a(i) for i in range(2, census.clique_number))
+            if corr:
+                corrected = True
+            total += part.graph.n + (self.rows - 1) - corr
+        if corrected:
+            origin = "generalized-block depth formula with cut-set correction"
+        else:
+            origin = "block-graph depth formula: vertices + rows - 1"
+        if len(self.parts) > 1:
+            origin += f", added over {len(self.parts)} components"
+        return FormulaResult("depth", "exact", total, origin)
+
+    @cached_property
+    def regularity(self) -> FormulaResult:
+        """See regularity_formula."""
+        self._require_generalized_block()
+        value = sum(part.graph.n - 1 for part in self.parts)
+        if self.rows >= self.graph.n:
+            return FormulaResult("regularity", "exact", value, "exact: row count at least vertex count")
+        if all(is_path(part.graph) for part in self.parts):
+            return FormulaResult("regularity", "exact", value, "exact: every component is a path")
+        origin = "upper bound: fewer rows than vertices and a non-path component"
+        return FormulaResult("regularity", "upper-bound", value, origin)
+
+    @cached_property
+    def prime_dimensions(self) -> dict[frozenset[int], int]:
+        """Dimension of the minimal prime of each cut-point set T:
+        n - |T| + c(T) * (rows - 1)."""
+        census = self.census
+        return {
+            t: self.graph.n - len(t) + census.component_counts[t] * (self.rows - 1)
+            for t in census.cut_point_sets
+        }
+
+    @cached_property
+    def dimension(self) -> int:
+        """Krull dimension of the quotient."""
+        return max(self.prime_dimensions.values())
+
+    @cached_property
+    def unmixed(self) -> bool:
+        """See is_unmixed."""
+        census = self.census
+        return all(
+            (census.component_counts[t] - 1) * (self.rows - 1) == len(t)
+            for t in census.cut_point_sets
+        )
+
+    @cached_property
+    def minimal_primes(self) -> tuple[MinimalPrime, ...]:
+        """One prime per cut-point set, in census order."""
+        g, rows = self.graph, self.rows
+        if g.n > 12:
+            raise ValueError(f"prime enumeration is exhaustive over subsets; n={g.n} > 12")
+        primes = []
+        for t in self.census.cut_point_sets:
+            rest = [v for v in range(1, g.n + 1) if v not in t]
+            comps = components_within(g, rest) if rest else ()
+            gens: list[Polynomial] = [
+                Polynomial.variable((i, j)) for j in sorted(t) for i in range(1, rows + 1)
+            ]
+            for comp in comps:
+                for i, j in combinations(comp, 2):
+                    for k, l in combinations(range(1, rows + 1), 2):
+                        gens.append(minor((k, l), (i, j)))
+            primes.append(MinimalPrime(
+                cut_set=t, components=comps, ideal=Ideal(gens), dimension=self.prime_dimensions[t],
+            ))
+        return tuple(primes)
+
+    @cached_property
+    def basis(self) -> Ideal:
+        """The ideal with its validated closed-form basis (see rauh_basis)."""
+        return rauh_basis(self.graph, self.rows)
+
+    @cached_property
+    def initial_ideal(self) -> tuple[Monomial, ...]:
+        """See initial_ideal; raises BasisValidationError on a
+        non-squarefree lead."""
+        leads = [f.leading_monomial() for f in self.basis.groebner()]
+        for m in leads:
+            if not m.is_squarefree():
+                raise BasisValidationError(f"initial ideal generator {m} is not squarefree")
+        return minimal_generators(leads)
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,16 @@ from __future__ import annotations
 import json
 import time
 
-from .graphs import Graph, classify, cut_set_census, enumerate_connected_graphs
-from .homology import hochster_betti
-from .ideals import (
-    BasisValidationError,
-    depth_formula,
-    gbei_generators,
-    initial_ideal,
-    is_unmixed,
-    krull_dimension,
-    minimal_primes,
-    regularity_formula,
+from .graphs import (
+    Classification,
+    CutSetCensus,
+    Graph,
+    classify,
+    cut_set_census,
+    enumerate_connected_graphs,
 )
+from .homology import hochster_betti
+from .ideals import Analysis, BasisValidationError, gbei_generators
 from .poly import VarGrid, buchberger, ideal_equal, intersect, monomial_ideal_equal
 
 SCHEMA_VERSION = 1
@@ -66,8 +64,7 @@ def _input_block(g: Graph, rows: int | None) -> dict:
     return block
 
 
-def _classification_block(g: Graph) -> dict:
-    c = classify(g)
+def _classification_block(c: Classification) -> dict:
     return {
         "chordal": c.chordal,
         "blockGraph": c.block_graph,
@@ -76,8 +73,7 @@ def _classification_block(g: Graph) -> dict:
     }
 
 
-def _census_block(g: Graph) -> dict:
-    census = cut_set_census(g)
+def _census_block(census: CutSetCensus) -> dict:
     return {
         "cliqueNumber": census.clique_number,
         "a": {str(i): census.a(i) for i in range(1, census.clique_number)},
@@ -92,15 +88,14 @@ def _census_block(g: Graph) -> dict:
     }
 
 
-def _formula_block(g: Graph, rows: int) -> dict:
-    dim, _ = krull_dimension(g, rows)
+def _formula_block(analysis: Analysis) -> dict:
     block = {
-        "dimension": dim,
-        "unmixed": is_unmixed(g, rows),
+        "dimension": analysis.dimension,
+        "unmixed": analysis.unmixed,
     }
-    if all(classify(part).generalized_block_graph for part in _parts(g)):
-        d = depth_formula(g, rows)
-        r = regularity_formula(g, rows)
+    if analysis.generalized_block:
+        d = analysis.depth
+        r = analysis.regularity
         block["status"] = "ok"
         block["depth"] = {"value": d.value, "kind": d.kind, "provenance": d.provenance}
         block["regularity"] = {"value": r.value, "kind": r.kind, "provenance": r.provenance}
@@ -110,40 +105,55 @@ def _formula_block(g: Graph, rows: int) -> dict:
     return block
 
 
-def _parts(g: Graph):
-    from .graphs import connected_components, induced_subgraph
-
-    return [induced_subgraph(g, comp)[0] for comp in connected_components(g)]
-
-
 def _check(name: str, status: str, detail: str) -> dict:
     return {"name": name, "status": status, "detail": detail}
 
 
-def _verification_block(g: Graph, rows: int, max_vars: int, with_primes: bool, watch: _Stopwatch) -> dict:
+def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, watch: _Stopwatch) -> dict:
+    g, rows = analysis.graph, analysis.rows
     checks = []
     nvars = rows * g.n
-    formulas_apply = all(classify(part).generalized_block_graph for part in _parts(g))
+
+    # one closed-form basis feeds both the oracle and the Buchberger cross-check
+    closed = None
+    with watch.time("basis"):
+        try:
+            closed = analysis.initial_ideal
+        except BasisValidationError as err:
+            no_basis = "skipped: basis construction failed"
+            basis_checks = [
+                _check("groebner-cross-check", "fail", str(err)),
+                _check("squarefree-initial", "fail", "basis construction failed"),
+            ]
+        except ValueError as err:  # the admissible-path size cap: valid input, no basis
+            no_basis = f"skipped: {err}"
+            basis_checks = [
+                _check("groebner-cross-check", "skipped", no_basis),
+                _check("squarefree-initial", "skipped", no_basis),
+            ]
 
     oracle_table = None
-    if nvars <= max_vars:
+    if nvars <= max_vars and closed is not None:
         with watch.time("oracle"):
-            oracle_table = hochster_betti(initial_ideal(g, rows), VarGrid(rows, g.n))
+            oracle_table = hochster_betti(closed, VarGrid(rows, g.n))
 
-    if not formulas_apply:
+    if not analysis.generalized_block:
         why = "skipped: formulas undefined off generalized block graphs"
-        checks.append(_check("depth-vs-oracle", "skipped", why))
-        checks.append(_check("regularity-vs-oracle", "skipped", why))
-    elif oracle_table is None:
+    elif nvars > max_vars:
         why = f"skipped: {nvars} variables exceeds --max-vars {max_vars}"
+    elif closed is None:
+        why = no_basis
+    else:
+        why = None
+    if why is not None:
         checks.append(_check("depth-vs-oracle", "skipped", why))
         checks.append(_check("regularity-vs-oracle", "skipped", why))
     else:
-        d = depth_formula(g, rows)
+        d = analysis.depth
         got = oracle_table.depth()
         status = "pass" if got == d.value else "fail"
         checks.append(_check("depth-vs-oracle", status, f"oracle {got}, formula {d.value}"))
-        r = regularity_formula(g, rows)
+        r = analysis.regularity
         got = oracle_table.regularity()
         if r.kind == "exact":
             status = "pass" if got == r.value else "fail"
@@ -153,30 +163,26 @@ def _verification_block(g: Graph, rows: int, max_vars: int, with_primes: bool, w
             detail = f"oracle {got} <= bound {r.value}"
         checks.append(_check("regularity-vs-oracle", status, detail))
 
-    with watch.time("groebner"):
-        try:
-            closed = initial_ideal(g, rows)
-        except BasisValidationError as err:
-            checks.append(_check("groebner-cross-check", "fail", str(err)))
-            checks.append(_check("squarefree-initial", "fail", "basis construction failed"))
-            closed = None
-        if closed is not None:
+    if closed is None:
+        checks.extend(basis_checks)
+    else:
+        with watch.time("groebner"):
             engine = [f.leading_monomial() for f in buchberger(gbei_generators(g, rows).generators)]
             same = monomial_ideal_equal(closed, engine)
-            detail = f"{len(closed)} closed-form generators vs {len(engine)} engine leads"
-            checks.append(_check("groebner-cross-check", "pass" if same else "fail", detail))
-            squarefree = all(m.is_squarefree() for m in engine)
-            checks.append(
-                _check(
-                    "squarefree-initial",
-                    "pass" if squarefree else "fail",
-                    "all engine lead monomials squarefree" if squarefree else "non-squarefree lead found",
-                )
+        detail = f"{len(closed)} closed-form generators vs {len(engine)} engine leads"
+        checks.append(_check("groebner-cross-check", "pass" if same else "fail", detail))
+        squarefree = all(m.is_squarefree() for m in engine)
+        checks.append(
+            _check(
+                "squarefree-initial",
+                "pass" if squarefree else "fail",
+                "all engine lead monomials squarefree" if squarefree else "non-squarefree lead found",
             )
+        )
 
     if with_primes or nvars <= PRIME_CHECK_DEFAULT_LIMIT:
         with watch.time("primes"):
-            primes = minimal_primes(g, rows)
+            primes = analysis.minimal_primes
             acc = primes[0].ideal
             for p in primes[1:]:
                 acc = intersect(acc, p.ideal)
@@ -210,9 +216,9 @@ def _verification_block(g: Graph, rows: int, max_vars: int, with_primes: bool, w
 def classify_report(g: Graph) -> dict:
     watch = _Stopwatch()
     with watch.time("classify"):
-        cls = _classification_block(g)
+        cls = _classification_block(classify(g))
     with watch.time("census"):
-        cen = _census_block(g)
+        cen = _census_block(cut_set_census(g))
     return {
         "schemaVersion": SCHEMA_VERSION,
         "command": "classify",
@@ -224,13 +230,14 @@ def classify_report(g: Graph) -> dict:
 
 
 def invariants_report(g: Graph, rows: int) -> dict:
+    analysis = Analysis(g, rows)
     watch = _Stopwatch()
     with watch.time("classify"):
-        cls = _classification_block(g)
+        cls = _classification_block(analysis.classification)
     with watch.time("census"):
-        cen = _census_block(g)
+        cen = _census_block(analysis.census)
     with watch.time("formulas"):
-        form = _formula_block(g, rows)
+        form = _formula_block(analysis)
     return {
         "schemaVersion": SCHEMA_VERSION,
         "command": "invariants",
@@ -243,14 +250,15 @@ def invariants_report(g: Graph, rows: int) -> dict:
 
 
 def verify_report(g: Graph, rows: int, max_vars: int = 12, with_primes: bool = False) -> dict:
+    analysis = Analysis(g, rows)
     watch = _Stopwatch()
     with watch.time("classify"):
-        cls = _classification_block(g)
+        cls = _classification_block(analysis.classification)
     with watch.time("census"):
-        cen = _census_block(g)
+        cen = _census_block(analysis.census)
     with watch.time("formulas"):
-        form = _formula_block(g, rows)
-    ver = _verification_block(g, rows, max_vars, with_primes, watch)
+        form = _formula_block(analysis)
+    ver = _verification_block(analysis, max_vars, with_primes, watch)
     report = {
         "schemaVersion": SCHEMA_VERSION,
         "command": "verify",
@@ -264,22 +272,28 @@ def verify_report(g: Graph, rows: int, max_vars: int = 12, with_primes: bool = F
     return report
 
 
+def _corpus_row(g: Graph, rows: int, verify: bool, max_vars: int, with_primes: bool) -> dict:
+    """One corpus entry; its analysis is dropped when the entry is built."""
+    analysis = Analysis(g, rows)
+    entry = {
+        "edges": [list(e) for e in g.sorted_edges()],
+        "classification": _classification_block(analysis.classification),
+        "formulas": _formula_block(analysis),
+    }
+    if verify:
+        ver = _verification_block(analysis, max_vars, with_primes, _Stopwatch())
+        entry["verification"] = ver
+        entry["verdict"] = verdict_of(ver["checks"])
+    else:
+        entry["verdict"] = "pass"
+    return entry
+
+
 def corpus_report(n: int, rows: int, filter_name: str, verify: bool, max_vars: int = 12, with_primes: bool = False) -> dict:
-    rows_out = []
-    for g in enumerate_connected_graphs(n, None if filter_name == "all" else filter_name):
-        entry = {
-            "edges": [list(e) for e in g.sorted_edges()],
-            "classification": _classification_block(g),
-        }
-        entry["formulas"] = _formula_block(g, rows)
-        if verify:
-            watch = _Stopwatch()
-            ver = _verification_block(g, rows, max_vars, with_primes, watch)
-            entry["verification"] = ver
-            entry["verdict"] = verdict_of(ver["checks"])
-        else:
-            entry["verdict"] = "pass"
-        rows_out.append(entry)
+    rows_out = [
+        _corpus_row(g, rows, verify, max_vars, with_primes)
+        for g in enumerate_connected_graphs(n, None if filter_name == "all" else filter_name)
+    ]
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for entry in rows_out:
         counts[entry["verdict"]] += 1

@@ -1,0 +1,72 @@
+"""One analysis per (graph, rows): every report computes the cut-set census
+and the closed-form basis once and shares them among its consumers."""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+import gbei.graphs
+import gbei.ideals
+from gbei.report import corpus_report, invariants_report, verify_report
+
+from conftest import FAN, P3, graph_of
+
+# a path on three vertices next to an edge: two components
+P3_PLUS_K2 = graph_of(5, (1, 2), (2, 3), (4, 5))
+
+
+@pytest.fixture
+def calls(monkeypatch) -> Counter:
+    """Counts of the exhaustive census kernel and of the closed-form basis."""
+    tally: Counter = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            tally[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(gbei.graphs, "_census_masks")
+    count(gbei.ideals, "rauh_basis")
+    return tally
+
+
+@pytest.mark.parametrize("g", [P3, FAN], ids=["P3", "FAN"])
+def test_one_census_per_invariants_report(calls, g):
+    invariants_report(g, 3)
+    assert calls == Counter({"_census_masks": 1})
+
+
+@pytest.mark.parametrize("g", [P3, FAN], ids=["P3", "FAN"])
+def test_one_census_and_one_basis_per_verify_report(calls, g):
+    report = verify_report(g, 2)
+    assert "oracle" in report["verification"]
+    assert calls == Counter({"_census_masks": 1, "rauh_basis": 1})
+
+
+def test_disconnected_graph_adds_one_census_per_component(calls):
+    invariants_report(P3_PLUS_K2, 2)
+    assert calls == Counter({"_census_masks": 1 + 2})
+    calls.clear()
+    verify_report(P3_PLUS_K2, 2)
+    assert calls == Counter({"_census_masks": 1 + 2, "rauh_basis": 1})
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_one_census_per_corpus_row(calls, verify):
+    report = corpus_report(4, 2, "gblock", verify)
+    graphs = report["summary"]["graphs"]
+    assert calls["_census_masks"] == graphs
+    assert calls["rauh_basis"] == (graphs if verify else 0)
+
+
+def test_connected_graph_is_its_own_only_part():
+    analysis = gbei.ideals.Analysis(FAN, 2)
+    assert analysis.parts == (analysis,) and analysis.parts[0] is analysis
+    split = gbei.ideals.Analysis(P3_PLUS_K2, 2)
+    assert [part.graph for part in split.parts] == [P3, graph_of(2, (1, 2))]

@@ -151,6 +151,31 @@ class TestVerify:
         assert "depth-vs-oracle: skipped (skipped: formulas undefined off generalized block graphs)" in out
         assert "prime-intersection: pass (intersection of 3 primes)" in out
 
+    def test_path_past_the_admissible_path_cap_skips_the_basis_checks(self, capsys, graph_file):
+        path = graph_file("p11.txt", "11\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 11)))
+        code, out, err = run(capsys, "verify", "--graph", path, "--rows", "2")
+        assert code == 0 and err == ""
+        cap = "skipped: path enumeration is exponential; n=11 > 10"
+        assert f"groebner-cross-check: skipped ({cap})" in out
+        assert f"squarefree-initial: skipped ({cap})" in out
+        assert "depth: 12 (exact;" in out
+        code, _, _ = run(capsys, "verify", "--graph", path, "--rows", "2", "--strict")
+        assert code == 3
+
+    def test_failed_basis_self_check_is_a_failure_not_a_crash(self, capsys, graph_file, monkeypatch):
+        monkeypatch.setattr("gbei.ideals.is_groebner_basis", lambda basis: False)
+        path = graph_file("p3.txt", "3\n1 2\n2 3\n")
+        code, out, err = run(capsys, "verify", "--graph", path, "--rows", "2", "--json")
+        assert code == 1 and err == ""
+        ver = json.loads(out)["verification"]
+        checks = {c["name"]: (c["status"], c["detail"]) for c in ver["checks"]}
+        assert checks["groebner-cross-check"][0] == "fail"
+        assert checks["squarefree-initial"] == ("fail", "basis construction failed")
+        skipped = ("skipped", "skipped: basis construction failed")
+        assert checks["depth-vs-oracle"] == checks["regularity-vs-oracle"] == skipped
+        assert checks["prime-intersection"][0] == "pass"
+        assert "oracle" not in ver
+
     def test_json_matches_text_numbers(self, capsys, graph_file):
         path = graph_file("fan.txt", FAN_TEXT)
         code, text_out, _ = run(capsys, "verify", "--graph", path, "--rows", "2")
