@@ -16,6 +16,7 @@ import sys
 
 from .graphs import GraphParseError, parse_graph
 from .report import (
+    DEFAULT_MAX_VARS,
     classify_report,
     corpus_report,
     has_failure,
@@ -40,6 +41,13 @@ def _add_graph_flags(sub: argparse.ArgumentParser, rows_required: bool):
     sub.add_argument("--strict", action="store_true", help="exit 3 when any stage is skipped")
 
 
+def _add_check_flags(sub: argparse.ArgumentParser):
+    sub.add_argument("--max-vars", type=int, default=DEFAULT_MAX_VARS, metavar="V",
+                     help="largest grid (rows x vertices) the homology oracle will attempt")
+    sub.add_argument("--with-primes", action="store_true",
+                     help="force the prime-intersection check past 8 variables")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gbei",
@@ -56,10 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="invariants plus oracle cross-checks")
     _add_graph_flags(p, rows_required=True)
-    p.add_argument("--max-vars", type=int, default=12, metavar="V",
-                   help="largest grid (rows x vertices) the homology oracle will attempt")
-    p.add_argument("--with-primes", action="store_true",
-                   help="force the prime-intersection check past 8 variables")
+    _add_check_flags(p)
 
     p = subs.add_parser("corpus", help="sweep all connected graphs of a given size")
     p.add_argument("--enumerate", required=True, type=int, metavar="N", dest="enumerate_n",
@@ -67,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", required=True, type=int, metavar="M")
     p.add_argument("--filter", choices=["gblock", "block", "all"], default="gblock")
     p.add_argument("--verify", action="store_true", help="run the verification checks per graph")
-    p.add_argument("--max-vars", type=int, default=12, metavar="V")
-    p.add_argument("--with-primes", action="store_true")
+    _add_check_flags(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("--strict", action="store_true")
 

@@ -112,35 +112,11 @@ def _bits(mask: int):
         mask ^= b
 
 
-def _component_count(adj: list[int], mask: int) -> int:
-    """Number of connected components of the restriction to `mask`."""
-    count = 0
-    rem = mask
-    while rem:
-        seed = rem & -rem
-        seen = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & mask & ~seen
-            seen |= frontier
-        rem &= ~seen
-        count += 1
-    return count
-
-
 def _component_masks(adj: list[int], mask: int) -> list[int]:
     comps = []
     rem = mask
     while rem:
-        seed = rem & -rem
-        seen = seed
-        frontier = seed
+        seen = frontier = rem & -rem
         while frontier:
             nxt = 0
             f = frontier
@@ -148,10 +124,10 @@ def _component_masks(adj: list[int], mask: int) -> list[int]:
                 b = f & -f
                 f ^= b
                 nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & mask & ~seen
+            frontier = nxt & rem & ~seen  # rem still holds this whole component
             seen |= frontier
         comps.append(seen)
-        rem &= ~seen
+        rem ^= seen
     return comps
 
 
@@ -184,9 +160,12 @@ def _lex_bfs(n: int, adj: list[int]) -> list[int]:
     return order
 
 
-def _is_peo(n: int, adj: list[int], elim: list[int]) -> bool:
-    """Check that eliminating vertices in `elim` order always removes a
-    vertex whose remaining neighbors form a clique."""
+def _perfect_elimination_order(n: int, adj: list[int]) -> list[int] | None:
+    """The reversed lex-BFS order when it is a perfect elimination order
+    (eliminating in that order always removes a vertex whose remaining
+    neighbors form a clique), else None.  It is one exactly when the graph
+    is chordal."""
+    elim = list(reversed(_lex_bfs(n, adj)))
     pos = [0] * n
     for idx, v in enumerate(elim):
         pos[v] = idx
@@ -197,18 +176,17 @@ def _is_peo(n: int, adj: list[int], elim: list[int]) -> bool:
         u = min(later, key=lambda w: pos[w])
         for w in later:
             if w != u and not (adj[u] >> w) & 1:
-                return False
-    return True
+                return None
+    return elim
 
 
 def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Chordality test.  Returns (True, perfect elimination order) or
     (False, None); the order lists 1-based vertices, earliest removed first."""
-    adj = _adj_masks(g)
-    elim = list(reversed(_lex_bfs(g.n, adj)))
-    if _is_peo(g.n, adj, elim):
-        return True, tuple(v + 1 for v in elim)
-    return False, None
+    elim = _perfect_elimination_order(g.n, _adj_masks(g))
+    if elim is None:
+        return False, None
+    return True, tuple(v + 1 for v in elim)
 
 
 def _peo_facet_masks(n: int, adj: list[int], elim: list[int]) -> list[int]:
@@ -257,10 +235,10 @@ def _bron_kerbosch(n: int, adj: list[int]) -> list[int]:
 def _facet_masks(n: int, adj: list[int]) -> tuple[list[int], bool]:
     """(maximal clique masks, chordal flag); elimination-order route for
     chordal graphs, exhaustive search otherwise."""
-    elim = list(reversed(_lex_bfs(n, adj)))
-    if _is_peo(n, adj, elim):
-        return _peo_facet_masks(n, adj, elim), True
-    return _bron_kerbosch(n, adj), False
+    elim = _perfect_elimination_order(n, adj)
+    if elim is None:
+        return _bron_kerbosch(n, adj), False
+    return _peo_facet_masks(n, adj, elim), True
 
 
 def _sorted_facets(masks: list[int]) -> list[int]:
@@ -448,7 +426,7 @@ def _census_masks(n: int, adj: list[int]) -> tuple[list[int], list[int], list[in
     full = (1 << n) - 1
     comp = [0] * (1 << n)
     for removed in range(1 << n):
-        comp[removed] = _component_count(adj, full & ~removed)
+        comp[removed] = len(_component_masks(adj, full & ~removed))
     base = comp[0]
     contains_cut = bytearray(1 << n)
     minimal = []
@@ -607,18 +585,7 @@ def enumerate_connected_graphs(n: int, classification: str | None = None):
             u, v = pairs[b.bit_length() - 1]
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen != full:
+        if len(_component_masks(adj, full)) != 1:
             continue
         if want != "all":
             chordal, block, gblock, _ = _classify_masks(n, adj)

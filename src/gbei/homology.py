@@ -31,6 +31,9 @@ from math import comb, gcd
 
 from .poly import Monomial, VarGrid
 
+# the largest variable count (grid size) the oracle attempts
+MAX_ORACLE_VARS = 16
+
 
 def _support_mask(m: Monomial, grid: VarGrid) -> int:
     if not m.is_squarefree():
@@ -260,7 +263,7 @@ def reduced_homology_ranks(k: SimplicialComplex, restrict_to) -> list[int]:
     for v in s:
         if not (0 <= v < k.vertex_count):
             raise ValueError(f"vertex {v} outside 0..{k.vertex_count - 1}")
-    if len(s) > 16:
+    if len(s) > MAX_ORACLE_VARS:
         raise ValueError(f"restriction to {len(s)} vertices is past the intended scale")
     sigma = 0
     for v in s:
@@ -330,8 +333,8 @@ def hochster_betti(gens, grid: VarGrid) -> BettiTable:
     supports are visited since every other restriction is a cone.
     """
     n = grid.size
-    if n > 16:
-        raise ValueError(f"{n} variables is past the intended scale (max 16)")
+    if n > MAX_ORACLE_VARS:
+        raise ValueError(f"{n} variables is past the intended scale (max {MAX_ORACLE_VARS})")
     masks = _prune_masks(_support_mask(m, grid) for m in gens) if gens else ()
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     if not masks:

@@ -65,15 +65,20 @@ def minor(row_pair: tuple[int, int], col_pair: tuple[int, int]) -> Polynomial:
     return Polynomial({lead: Fraction(1), tail: Fraction(-1)})
 
 
+def _minors_for_edges(edges, rows: int) -> list[Polynomial]:
+    """The minors of every edge on every row pair, ordered by edge then
+    row pair."""
+    return [
+        minor((k, l), (i, j))
+        for i, j in sorted(edges)
+        for k, l in combinations(range(1, rows + 1), 2)
+    ]
+
+
 def gbei_generators(g: Graph, rows: int) -> Ideal:
     """Defining generators, ordered by edge then row pair."""
     _require_rows(rows)
-    gens = [
-        minor((k, l), (i, j))
-        for i, j in sorted(g.edges)
-        for k, l in combinations(range(1, rows + 1), 2)
-    ]
-    return Ideal(gens)
+    return Ideal(_minors_for_edges(g.edges, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +424,7 @@ class Analysis:
                 Polynomial.variable((i, j)) for j in sorted(t) for i in range(1, rows + 1)
             ]
             for comp in comps:
-                for i, j in combinations(comp, 2):
-                    for k, l in combinations(range(1, rows + 1), 2):
-                        gens.append(minor((k, l), (i, j)))
+                gens.extend(_minors_for_edges(combinations(comp, 2), rows))
             primes.append(MinimalPrime(
                 cut_set=t, components=comps, ideal=Ideal(gens), dimension=self.prime_dimensions[t],
             ))
@@ -479,14 +482,6 @@ class IdealSplit:
     left: Ideal
     right: Ideal
     total: Ideal
-
-
-def _minors_for_edges(edges, rows: int) -> list[Polynomial]:
-    return [
-        minor((k, l), (i, j))
-        for i, j in sorted(edges)
-        for k, l in combinations(range(1, rows + 1), 2)
-    ]
 
 
 def leaf_ideal_split(g: Graph, rows: int) -> IdealSplit:

@@ -102,9 +102,6 @@ class Monomial:
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.exps)
 
-    def involves(self, var: Var) -> bool:
-        return any(v == var for v, _ in self.exps)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         d = dict(self.exps)
         for v, e in other.exps:
@@ -195,11 +192,6 @@ class Monomial:
 
 
 ONE = Monomial(())
-
-
-def compare(a: Monomial, b: Monomial) -> int:
-    """Order comparison as a three-way value (-1, 0, 1)."""
-    return a._cmp(b)
 
 
 class Polynomial:
@@ -320,10 +312,6 @@ class Polynomial:
         return self.render()
 
 
-def leading_term(f: Polynomial) -> tuple[Monomial, Fraction]:
-    return f.leading()
-
-
 def normal_form(f: Polynomial, basis: list[Polynomial] | tuple[Polynomial, ...]) -> Polynomial:
     """Remainder of multivariate division of f by the given basis.
 
@@ -385,6 +373,21 @@ def _interreduce(basis: list[Polynomial]) -> tuple[Polynomial, ...]:
     return tuple(reduced)
 
 
+def _skip_pair(leads: list[Monomial], i: int, j: int, done: set[tuple[int, int]]) -> bool:
+    """Whether the S-pair (i, j), i < j, may be dropped: its leads are
+    coprime, or (chain criterion, Gebauer-Moeller 1988) some other lead
+    divides their lcm and both of its pairs with i and j are in `done`."""
+    if leads[i].coprime(leads[j]):
+        return True
+    l = leads[i].lcm(leads[j])
+    for k, lk in enumerate(leads):
+        if k in (i, j) or not lk.divides(l):
+            continue
+        if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
+            return True
+    return False
+
+
 def buchberger(gens) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
@@ -413,20 +416,7 @@ def buchberger(gens) -> tuple[Polynomial, ...]:
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
         done.add((i, j))
-        li, lj = leads[i], leads[j]
-        if li.coprime(lj):
-            continue
-        l = li.lcm(lj)
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not leads[k].divides(l):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                skip = True
-                break
-        if skip:
+        if _skip_pair(leads, i, j, done):
             continue
         h = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if h:
@@ -450,19 +440,7 @@ def is_groebner_basis(basis) -> bool:
     for j in range(len(basis)):
         for i in range(j):
             done.add((i, j))
-            if leads[i].coprime(leads[j]):
-                continue
-            l = leads[i].lcm(leads[j])
-            skip = False
-            for k in range(len(basis)):
-                if k in (i, j) or not leads[k].divides(l):
-                    continue
-                if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
-                    skip = True
-                    break
-            if skip:
-                continue
-            if normal_form(s_polynomial(basis[i], basis[j]), basis):
+            if not _skip_pair(leads, i, j, done) and normal_form(s_polynomial(basis[i], basis[j]), basis):
                 return False
     return True
 

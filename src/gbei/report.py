@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 
 from .graphs import (
     Classification,
@@ -21,7 +22,7 @@ from .graphs import (
     cut_set_census,
     enumerate_connected_graphs,
 )
-from .homology import hochster_betti
+from .homology import MAX_ORACLE_VARS, hochster_betti
 from .ideals import Analysis, BasisValidationError, gbei_generators
 from .poly import VarGrid, buchberger, ideal_equal, intersect, monomial_ideal_equal
 
@@ -29,28 +30,16 @@ SCHEMA_VERSION = 1
 
 PRIME_CHECK_DEFAULT_LIMIT = 8
 
-
-class _Stopwatch:
-    def __init__(self):
-        self.laps: dict[str, int] = {}
-
-    def time(self, stage: str):
-        return _Lap(self, stage)
+# the default largest grid (rows x vertices) the homology oracle attempts
+DEFAULT_MAX_VARS = 12
 
 
-class _Lap:
-    def __init__(self, watch: _Stopwatch, stage: str):
-        self.watch = watch
-        self.stage = stage
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        ms = int((time.perf_counter() - self.start) * 1000)
-        self.watch.laps[self.stage] = self.watch.laps.get(self.stage, 0) + ms
-        return False
+@contextmanager
+def _lap(laps: dict[str, int], stage: str):
+    """Add the whole milliseconds spent in the block to laps[stage]."""
+    start = time.perf_counter()
+    yield
+    laps[stage] = laps.get(stage, 0) + int((time.perf_counter() - start) * 1000)
 
 
 def _vset(s) -> list[int]:
@@ -109,14 +98,14 @@ def _check(name: str, status: str, detail: str) -> dict:
     return {"name": name, "status": status, "detail": detail}
 
 
-def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, watch: _Stopwatch) -> dict:
+def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, laps: dict[str, int]) -> dict:
     g, rows = analysis.graph, analysis.rows
     checks = []
     nvars = rows * g.n
 
     # one closed-form basis feeds both the oracle and the Buchberger cross-check
     closed = None
-    with watch.time("basis"):
+    with _lap(laps, "basis"):
         try:
             closed = analysis.initial_ideal
         except BasisValidationError as err:
@@ -133,14 +122,16 @@ def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, wa
             ]
 
     oracle_table = None
-    if nvars <= max_vars and closed is not None:
-        with watch.time("oracle"):
+    if nvars <= min(max_vars, MAX_ORACLE_VARS) and closed is not None:
+        with _lap(laps, "oracle"):
             oracle_table = hochster_betti(closed, VarGrid(rows, g.n))
 
     if not analysis.generalized_block:
         why = "skipped: formulas undefined off generalized block graphs"
     elif nvars > max_vars:
         why = f"skipped: {nvars} variables exceeds --max-vars {max_vars}"
+    elif nvars > MAX_ORACLE_VARS:
+        why = f"skipped: {nvars} variables exceeds the oracle cap of {MAX_ORACLE_VARS}"
     elif closed is None:
         why = no_basis
     else:
@@ -166,7 +157,7 @@ def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, wa
     if closed is None:
         checks.extend(basis_checks)
     else:
-        with watch.time("groebner"):
+        with _lap(laps, "groebner"):
             engine = [f.leading_monomial() for f in buchberger(gbei_generators(g, rows).generators)]
             same = monomial_ideal_equal(closed, engine)
         detail = f"{len(closed)} closed-form generators vs {len(engine)} engine leads"
@@ -181,14 +172,8 @@ def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, wa
         )
 
     if with_primes or nvars <= PRIME_CHECK_DEFAULT_LIMIT:
-        with watch.time("primes"):
-            primes = analysis.minimal_primes
-            acc = primes[0].ideal
-            for p in primes[1:]:
-                acc = intersect(acc, p.ideal)
-            same = ideal_equal(acc, gbei_generators(g, rows))
-        detail = f"intersection of {len(primes)} primes"
-        checks.append(_check("prime-intersection", "pass" if same else "fail", detail))
+        with _lap(laps, "primes"):
+            checks.append(_prime_intersection_check(analysis))
     else:
         checks.append(
             _check(
@@ -213,11 +198,24 @@ def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, wa
     return block
 
 
+def _prime_intersection_check(analysis: Analysis) -> dict:
+    try:
+        primes = analysis.minimal_primes
+    except ValueError as err:  # the prime-enumeration size cap: valid input, no primes
+        return _check("prime-intersection", "skipped", f"skipped: {err}")
+    acc = primes[0].ideal
+    for p in primes[1:]:
+        acc = intersect(acc, p.ideal)
+    same = ideal_equal(acc, gbei_generators(analysis.graph, analysis.rows))
+    detail = f"intersection of {len(primes)} primes"
+    return _check("prime-intersection", "pass" if same else "fail", detail)
+
+
 def classify_report(g: Graph) -> dict:
-    watch = _Stopwatch()
-    with watch.time("classify"):
+    laps: dict[str, int] = {}
+    with _lap(laps, "classify"):
         cls = _classification_block(classify(g))
-    with watch.time("census"):
+    with _lap(laps, "census"):
         cen = _census_block(cut_set_census(g))
     return {
         "schemaVersion": SCHEMA_VERSION,
@@ -225,50 +223,38 @@ def classify_report(g: Graph) -> dict:
         "input": _input_block(g, None),
         "classification": cls,
         "census": cen,
-        "timings": watch.laps,
+        "timings": laps,
+    }
+
+
+def _invariants(analysis: Analysis, command: str) -> dict:
+    """The report shared by `invariants` and `verify`, timings included."""
+    laps: dict[str, int] = {}
+    with _lap(laps, "classify"):
+        cls = _classification_block(analysis.classification)
+    with _lap(laps, "census"):
+        cen = _census_block(analysis.census)
+    with _lap(laps, "formulas"):
+        form = _formula_block(analysis)
+    return {
+        "schemaVersion": SCHEMA_VERSION,
+        "command": command,
+        "input": _input_block(analysis.graph, analysis.rows),
+        "classification": cls,
+        "census": cen,
+        "formulas": form,
+        "timings": laps,
     }
 
 
 def invariants_report(g: Graph, rows: int) -> dict:
-    analysis = Analysis(g, rows)
-    watch = _Stopwatch()
-    with watch.time("classify"):
-        cls = _classification_block(analysis.classification)
-    with watch.time("census"):
-        cen = _census_block(analysis.census)
-    with watch.time("formulas"):
-        form = _formula_block(analysis)
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "invariants",
-        "input": _input_block(g, rows),
-        "classification": cls,
-        "census": cen,
-        "formulas": form,
-        "timings": watch.laps,
-    }
+    return _invariants(Analysis(g, rows), "invariants")
 
 
-def verify_report(g: Graph, rows: int, max_vars: int = 12, with_primes: bool = False) -> dict:
+def verify_report(g: Graph, rows: int, max_vars: int = DEFAULT_MAX_VARS, with_primes: bool = False) -> dict:
     analysis = Analysis(g, rows)
-    watch = _Stopwatch()
-    with watch.time("classify"):
-        cls = _classification_block(analysis.classification)
-    with watch.time("census"):
-        cen = _census_block(analysis.census)
-    with watch.time("formulas"):
-        form = _formula_block(analysis)
-    ver = _verification_block(analysis, max_vars, with_primes, watch)
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "verify",
-        "input": _input_block(g, rows),
-        "classification": cls,
-        "census": cen,
-        "formulas": form,
-        "verification": ver,
-        "timings": watch.laps,
-    }
+    report = _invariants(analysis, "verify")
+    report["verification"] = _verification_block(analysis, max_vars, with_primes, report["timings"])
     return report
 
 
@@ -281,7 +267,7 @@ def _corpus_row(g: Graph, rows: int, verify: bool, max_vars: int, with_primes: b
         "formulas": _formula_block(analysis),
     }
     if verify:
-        ver = _verification_block(analysis, max_vars, with_primes, _Stopwatch())
+        ver = _verification_block(analysis, max_vars, with_primes, {})
         entry["verification"] = ver
         entry["verdict"] = verdict_of(ver["checks"])
     else:
@@ -289,7 +275,7 @@ def _corpus_row(g: Graph, rows: int, verify: bool, max_vars: int, with_primes: b
     return entry
 
 
-def corpus_report(n: int, rows: int, filter_name: str, verify: bool, max_vars: int = 12, with_primes: bool = False) -> dict:
+def corpus_report(n: int, rows: int, filter_name: str, verify: bool, max_vars: int = DEFAULT_MAX_VARS, with_primes: bool = False) -> dict:
     rows_out = [
         _corpus_row(g, rows, verify, max_vars, with_primes)
         for g in enumerate_connected_graphs(n, None if filter_name == "all" else filter_name)

@@ -162,6 +162,27 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--graph", path, "--rows", "2", "--strict")
         assert code == 3
 
+    def test_path_past_the_prime_cap_skips_the_prime_check(self, capsys, graph_file):
+        path = graph_file("p13.txt", "13\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 13)))
+        code, out, err = run(capsys, "verify", "--graph", path, "--rows", "2", "--with-primes")
+        assert code == 0 and err == ""
+        cap = "skipped: prime enumeration is exhaustive over subsets; n=13 > 12"
+        assert f"prime-intersection: skipped ({cap})" in out
+        code, _, _ = run(capsys, "verify", "--graph", path, "--rows", "2", "--with-primes", "--strict")
+        assert code == 3
+
+    def test_max_vars_past_the_oracle_cap_skips_the_oracle(self, capsys, graph_file):
+        path = graph_file("p9.txt", "9\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 9)))
+        code, out, err = run(capsys, "verify", "--graph", path, "--rows", "2", "--max-vars", "20")
+        assert code == 0 and err == ""
+        cap = "skipped: 18 variables exceeds the oracle cap of 16"
+        assert f"depth-vs-oracle: skipped ({cap})" in out
+        assert f"regularity-vs-oracle: skipped ({cap})" in out
+        assert "groebner-cross-check: pass" in out
+        assert "\noracle:" not in out
+        code, _, _ = run(capsys, "verify", "--graph", path, "--rows", "2", "--max-vars", "20", "--strict")
+        assert code == 3
+
     def test_failed_basis_self_check_is_a_failure_not_a_crash(self, capsys, graph_file, monkeypatch):
         monkeypatch.setattr("gbei.ideals.is_groebner_basis", lambda basis: False)
         path = graph_file("p3.txt", "3\n1 2\n2 3\n")
