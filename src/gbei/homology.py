@@ -9,11 +9,15 @@ induced subcomplexes,
     to sigma),
 
 and depth, projective dimension and regularity fall out of the table
-(depth = N - projdim by Auslander-Buchsbaum, reg = max j - i).  All ranks
-are computed over the rationals by exact integer elimination, so the oracle
-involves no floating point and no external algebra system.  It shares
-nothing with the closed-form formulas or the Groebner engine beyond the
-monomial type, which is what makes it a genuine cross-check.
+(depth = N - projdim by Auslander-Buchsbaum, reg = max j - i).  Homology is
+computed over GF(2), with boundary columns packed into integer bitsets, and
+the result is accepted only when a certificate proves it equal to the
+homology over the rationals (see _homology_vector); otherwise the ranks are
+recomputed over the rationals by exact integer elimination.  Either way
+every rank is exact: the oracle involves no floating point, no randomness
+and no external algebra system.  It shares nothing with the closed-form
+formulas or the Groebner engine beyond the monomial type, which is what
+makes it a genuine cross-check.
 
 Two exactness-preserving shortcuts keep the subset iteration affordable.
 A subset with a vertex lying in no generator support inside it induces a
@@ -135,22 +139,33 @@ def _rank(columns) -> int:
 # reduced homology of a restriction, with the join shortcut
 
 def _faces_by_size(vertices: tuple[int, ...], nonfaces: tuple[int, ...]):
-    """Subsets of `vertices` containing no nonface, grouped by cardinality.
-    Faces are bitmasks; layer k lists the faces of k vertices.  Each face is
-    reached once, by appending vertices above its current maximum."""
+    """Subsets of `vertices` (ascending) containing no nonface, grouped by
+    cardinality.  Faces are bitmasks; layer k lists the faces of k vertices.
+
+    Each face is reached once, by appending a vertex v above its current
+    maximum.  The face it extends contains no nonface, so a nonface can only
+    fit when v is its top vertex: only those nonfaces are tested, each by
+    the rest of its vertices."""
+    below_top: dict[int, list[int]] = {}
+    for nf in nonfaces:
+        top = 1 << (nf.bit_length() - 1)
+        below_top.setdefault(top, []).append(nf ^ top)
+    steps = [(1 << v, below_top.get(1 << v, ())) for v in vertices]
+    # the steps that may extend a face, keyed by the face's bit_length
+    after = {0: steps}
+    for i, v in enumerate(vertices):
+        after[v + 1] = steps[i + 1:]
     layers = [[0]]
     frontier = [0]
     while frontier:
         nxt = []
         for face in frontier:
-            base = face.bit_length()
-            for v in vertices:
-                if v < base:
-                    continue
-                cand = face | 1 << v
-                if any(nf & cand == nf for nf in nonfaces):
-                    continue
-                nxt.append(cand)
+            for bit, rests in after[face.bit_length()]:
+                for rest in rests:
+                    if rest & face == rest:
+                        break
+                else:
+                    nxt.append(face | bit)
         if nxt:
             layers.append(nxt)
         frontier = nxt
@@ -158,7 +173,8 @@ def _faces_by_size(vertices: tuple[int, ...], nonfaces: tuple[int, ...]):
 
 
 def _boundary_rank(lower: list[int], upper: list[int]) -> int:
-    """Rank of the simplicial boundary map from span(upper) to span(lower)."""
+    """Rank over Q of the simplicial boundary map from span(upper) to
+    span(lower)."""
     if not lower or not upper:
         return 0
     row_of = {face: idx for idx, face in enumerate(lower)}
@@ -177,11 +193,32 @@ def _boundary_rank(lower: list[int], upper: list[int]) -> int:
     return _rank(cols)
 
 
-def _homology_vector(vertices: tuple[int, ...], nonfaces: tuple[int, ...]) -> tuple[int, ...]:
-    """Ranks of reduced homology of the complex on `vertices` with the given
-    minimal nonfaces, as a vector indexed by dimension + 1 (entry 0 is
-    Htilde_{-1}, entry k is Htilde_{k-1})."""
-    layers = _faces_by_size(vertices, nonfaces)
+def _boundary_rank_mod2(lower: list[int], upper: list[int]) -> int:
+    """Rank over GF(2) of the simplicial boundary map from span(upper) to
+    span(lower).  Each column is an int whose bit i stands for lower[i];
+    a column is reduced by the pivot column sharing its highest set bit
+    until it vanishes or brings a new pivot."""
+    if not lower or not upper:
+        return 0
+    bit_of = {face: 1 << idx for idx, face in enumerate(lower)}
+    pivots: dict[int, int] = {}
+    for face in upper:
+        col = 0
+        rest = face
+        while rest:
+            bit = rest & -rest
+            col |= bit_of[face ^ bit]
+            rest ^= bit
+        while col:
+            p = pivots.get(col.bit_length())
+            if p is None:
+                pivots[col.bit_length()] = col
+                break
+            col ^= p
+    return len(pivots)
+
+
+def _vector_from_ranks(layers: list[list[int]], boundary_rank) -> tuple[int, ...]:
     # ranks[k] = rank of the boundary map from k-vertex faces to (k-1)-vertex
     # faces; the map from single vertices to the empty face is augmentation.
     top = len(layers) - 1
@@ -190,11 +227,35 @@ def _homology_vector(vertices: tuple[int, ...], nonfaces: tuple[int, ...]) -> tu
         if k == 1:
             ranks[1] = 1 if layers[1] else 0
         else:
-            ranks[k] = _boundary_rank(layers[k - 1], layers[k])
-    out = []
-    for k in range(top + 1):
-        out.append(len(layers[k]) - ranks[k] - ranks[k + 1])
-    return tuple(out)
+            ranks[k] = boundary_rank(layers[k - 1], layers[k])
+    return tuple(len(layers[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1))
+
+
+def _homology_vector(vertices: tuple[int, ...], nonfaces: tuple[int, ...]) -> tuple[int, ...]:
+    """Ranks of reduced homology over Q of the complex on `vertices` with the
+    given minimal nonfaces, as a vector indexed by dimension + 1 (entry 0 is
+    Htilde_{-1}, entry k is Htilde_{k-1}).
+
+    The vector is computed over GF(2) and kept only when it is nonzero in at
+    most one degree, which certifies that it equals the vector over Q:
+
+    - by the universal coefficient theorem, Htilde_k(F_2) is
+      Htilde_k(Z) (x) F_2 plus Tor(Htilde_{k-1}(Z), F_2), so
+      dim Htilde_k(Q) <= dim Htilde_k(F_2) in every degree;
+    - over any field the alternating sum of the vector is the reduced Euler
+      characteristic, the alternating sum of the face counts;
+    - so where the GF(2) vector is zero the vector over Q is zero too, and
+      in the one remaining degree the Euler characteristic makes the two
+      equal.
+
+    Otherwise (2-torsion may be present) the ranks are recomputed over Q by
+    exact integer elimination on the same face layers.
+    """
+    layers = _faces_by_size(vertices, nonfaces)
+    vec = _vector_from_ranks(layers, _boundary_rank_mod2)
+    if sum(1 for h in vec if h) > 1:
+        vec = _vector_from_ranks(layers, _boundary_rank)
+    return vec
 
 
 def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

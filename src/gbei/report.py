@@ -16,7 +16,6 @@ from contextlib import contextmanager
 
 from .graphs import (
     Classification,
-    CutSetCensus,
     Graph,
     classify,
     cut_set_census,
@@ -62,7 +61,13 @@ def _classification_block(c: Classification) -> dict:
     }
 
 
-def _census_block(census: CutSetCensus) -> dict:
+def _census_block(census_of) -> dict:
+    """The census block from `census_of()`, or a skipped block with the
+    reason when the graph is past the census size cap."""
+    try:
+        census = census_of()
+    except ValueError as err:  # the census size cap: valid input, no census
+        return {"status": "skipped", "reason": str(err)}
     return {
         "cliqueNumber": census.clique_number,
         "a": {str(i): census.a(i) for i in range(1, census.clique_number)},
@@ -78,10 +83,13 @@ def _census_block(census: CutSetCensus) -> dict:
 
 
 def _formula_block(analysis: Analysis) -> dict:
-    block = {
-        "dimension": analysis.dimension,
-        "unmixed": analysis.unmixed,
-    }
+    try:
+        block = {
+            "dimension": analysis.dimension,
+            "unmixed": analysis.unmixed,
+        }
+    except ValueError as err:  # the census size cap: every formula reads the census
+        return {"status": "skipped", "reason": str(err)}
     if analysis.generalized_block:
         d = analysis.depth
         r = analysis.regularity
@@ -216,7 +224,7 @@ def classify_report(g: Graph) -> dict:
     with _lap(laps, "classify"):
         cls = _classification_block(classify(g))
     with _lap(laps, "census"):
-        cen = _census_block(cut_set_census(g))
+        cen = _census_block(lambda: cut_set_census(g))
     return {
         "schemaVersion": SCHEMA_VERSION,
         "command": "classify",
@@ -233,7 +241,7 @@ def _invariants(analysis: Analysis, command: str) -> dict:
     with _lap(laps, "classify"):
         cls = _classification_block(analysis.classification)
     with _lap(laps, "census"):
-        cen = _census_block(analysis.census)
+        cen = _census_block(lambda: analysis.census)
     with _lap(laps, "formulas"):
         form = _formula_block(analysis)
     return {
@@ -309,6 +317,7 @@ def has_failure(report: dict) -> bool:
 
 
 def has_skip(report: dict) -> bool:
+    skipped_census = report.get("census", {}).get("status") == "skipped"
     skipped_formula = report.get("formulas", {}).get("status") == "skipped"
     ver = report.get("verification")
     skipped_check = bool(ver) and any(c["status"] == "skipped" for c in ver["checks"])
@@ -316,7 +325,7 @@ def has_skip(report: dict) -> bool:
         return report["summary"]["skipped"] > 0 or any(
             r["formulas"]["status"] == "skipped" for r in report["rows"]
         )
-    return skipped_formula or skipped_check
+    return skipped_census or skipped_formula or skipped_check
 
 
 def to_json(report: dict) -> str:
@@ -366,18 +375,22 @@ def render_text(report: dict) -> str:
         )
     )
     cen = report["census"]
-    a_txt = " ".join(f"a_{i}={cen['a'][i]}" for i in sorted(cen["a"], key=int)) or "none"
-    lines.append(f"census: cliqueNumber={cen['cliqueNumber']}; minimal cut set counts: {a_txt}")
-    for i in sorted(cen["minimalCutSets"], key=int):
-        sets = " ".join(_fmt_set(s) for s in cen["minimalCutSets"][i])
-        lines.append(f"  minimal cut sets of size {i}: {sets}")
-    cps = " ".join(
-        f"{_fmt_set(t['set'])}(c={t['components']})" for t in cen["cutPointSets"]
-    )
-    lines.append(f"  cut-point sets: {cps}")
+    if cen.get("status") == "skipped":
+        lines.append(f"census: skipped ({cen['reason']})")
+    else:
+        a_txt = " ".join(f"a_{i}={cen['a'][i]}" for i in sorted(cen["a"], key=int)) or "none"
+        lines.append(f"census: cliqueNumber={cen['cliqueNumber']}; minimal cut set counts: {a_txt}")
+        for i in sorted(cen["minimalCutSets"], key=int):
+            sets = " ".join(_fmt_set(s) for s in cen["minimalCutSets"][i])
+            lines.append(f"  minimal cut sets of size {i}: {sets}")
+        cps = " ".join(
+            f"{_fmt_set(t['set'])}(c={t['components']})" for t in cen["cutPointSets"]
+        )
+        lines.append(f"  cut-point sets: {cps}")
     form = report.get("formulas")
     if form:
-        lines.append(f"dimension: {form['dimension']}; unmixed: {str(form['unmixed']).lower()}")
+        if "dimension" in form:
+            lines.append(f"dimension: {form['dimension']}; unmixed: {str(form['unmixed']).lower()}")
         if form["status"] == "ok":
             d, r = form["depth"], form["regularity"]
             lines.append(f"depth: {d['value']} ({d['kind']}; {d['provenance']})")

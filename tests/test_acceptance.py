@@ -14,7 +14,6 @@ from itertools import combinations
 
 from gbei.graphs import (
     Graph,
-    classify,
     cut_set_census,
     enumerate_connected_graphs,
     is_path,
@@ -29,7 +28,6 @@ from gbei.ideals import (
     is_unmixed,
     krull_dimension,
     minimal_primes,
-    rauh_basis,
     regularity_formula,
 )
 from gbei.poly import VarGrid, buchberger, ideal_equal, intersect, monomial_ideal_equal

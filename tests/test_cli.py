@@ -25,6 +25,8 @@ from conftest import C4, FAN, P5
 P5_TEXT = "5\n1 2\n2 3\n3 4\n4 5\n"
 FAN_TEXT = "5\n1 2\n1 3\n2 3\n1 4\n2 4\n1 5\n2 5\n"
 C4_TEXT = "4\n1 2\n2 3\n3 4\n1 4\n"
+P21_TEXT = "21\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 21))
+CENSUS_CAP = "census is exhaustive over subsets; n=21 is past the intended scale"
 
 
 @pytest.fixture
@@ -76,6 +78,15 @@ class TestClassify:
         assert code == 2
         assert "line 2" in err
 
+    def test_path_past_the_census_cap_skips_the_census(self, capsys, graph_file):
+        path = graph_file("p21.txt", P21_TEXT)
+        code, out, err = run(capsys, "classify", "--graph", path)
+        assert code == 0 and err == ""
+        assert "classification: chordal=true blockGraph=true generalizedBlockGraph=true" in out
+        assert f"census: skipped ({CENSUS_CAP})\n" in out
+        code, _, _ = run(capsys, "classify", "--graph", path, "--strict")
+        assert code == 3
+
 
 class TestInvariants:
     def test_path_three_rows(self, capsys, graph_file):
@@ -105,6 +116,21 @@ class TestInvariants:
             capsys,
             "invariants", "--graph", graph_file("c4.txt", C4_TEXT), "--rows", "2", "--strict",
         )
+        assert code == 3
+
+    def test_path_past_the_census_cap_skips_census_and_formulas(self, capsys, graph_file):
+        path = graph_file("p21.txt", P21_TEXT)
+        code, out, err = run(capsys, "invariants", "--graph", path, "--rows", "2", "--json")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        skipped = {"status": "skipped", "reason": CENSUS_CAP}
+        assert report["census"] == report["formulas"] == skipped
+        assert report["classification"]["generalizedBlockGraph"] is True
+        code, out, _ = run(capsys, "invariants", "--graph", path, "--rows", "2")
+        assert code == 0
+        assert f"census: skipped ({CENSUS_CAP})\nformulas: skipped ({CENSUS_CAP})\n" in out
+        assert "dimension:" not in out
+        code, _, _ = run(capsys, "invariants", "--graph", path, "--rows", "2", "--strict")
         assert code == 3
 
 

@@ -1,7 +1,8 @@
 """Every public module-level function of the package has a user: it is
 exported in `gbei.__all__`, or code in the package refers to it (another
 module by importing it, its own module by name).  A helper that nothing
-calls is deleted, not left behind."""
+calls is deleted, not left behind.  Likewise every module-level import of
+the package and of the tests is used by the file that makes it."""
 
 from __future__ import annotations
 
@@ -11,13 +12,15 @@ from pathlib import Path
 import gbei
 
 PACKAGE = Path(gbei.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _trees() -> dict[str, ast.Module]:
-    return {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(PACKAGE.glob("*.py"))
-    }
+    return {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _public_functions(tree: ast.Module) -> list[str]:
@@ -57,3 +60,38 @@ def test_every_public_function_is_exported_or_used_in_the_package():
 
 def test_the_scan_sees_every_module():
     assert {"cli", "graphs", "homology", "ideals", "poly", "report"} <= set(_trees())
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module-level imports of `tree` that nothing in it
+    reads.  `from __future__` imports and names listed in `__all__` (the
+    package's re-exports) are exempt."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.extend((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used and name not in exported]
+
+
+def test_every_module_level_import_is_used():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = [
+        f"{path.parent.name}/{path.name}: {name}"
+        for path in paths
+        for name in _unused_imports(_parse(path))
+    ]
+    assert unused == []
+
+
+def test_the_import_scan_sees_the_package_and_the_tests():
+    names = {path.name for path in PACKAGE.glob("*.py")} | {path.name for path in TESTS.glob("*.py")}
+    assert {"__init__.py", "report.py", "conftest.py", "test_dead_code.py"} <= names

@@ -21,7 +21,7 @@ from gbei.graphs import (
     parse_graph,
 )
 
-from conftest import C4, CHERRY, FAN, K2, K3, K4, P3, P5, STAR, graph_of
+from conftest import C4, FAN, K2, K3, K4, P3, P5, STAR, graph_of
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from gbei import homology
 from gbei.homology import (
     BettiTable,
     SimplicialComplex,
@@ -19,7 +21,7 @@ from gbei.homology import (
 from gbei.ideals import initial_ideal
 from gbei.poly import Monomial, VarGrid
 
-from conftest import CHERRY, FAN, K2, K3, P3, graph_of
+from conftest import CHERRY, FAN, K2, K3, P3
 
 
 def mono(*vars_) -> Monomial:
@@ -153,6 +155,51 @@ class TestReducedHomology:
                 for sigma in combinations(range(grid.size), size):
                     assert reduced_homology_ranks(k, sigma) == brute_reduced_homology(k, sigma), (g, sigma)
 
+    def test_torsion_falls_back_to_exact_ranks(self, monkeypatch):
+        # the 6-vertex real projective plane: H1(Z) = Z/2, so over GF(2)
+        # its homology sits in two degrees and the certificate must refuse
+        # it; over Q it is acyclic
+        facets = {frozenset(map(int, f)) for f in "012 023 034 045 051 124 235 341 452 513".split()}
+        missing = tuple(
+            frozenset(t) for t in combinations(range(6), 3) if frozenset(t) not in facets
+        )
+        rp2 = SimplicialComplex(6, missing)
+        hollow_triangle = SimplicialComplex(3, (frozenset({0, 1, 2}),))
+        octahedron = SimplicialComplex(6, (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})))
+        masks = tuple(sum(1 << v for v in nf) for nf in missing)
+        layers = homology._faces_by_size(tuple(range(6)), masks)
+        assert homology._vector_from_ranks(layers, homology._boundary_rank_mod2) == (0, 0, 1, 1)
+
+        calls = []
+        exact = homology._rank
+
+        def counted(columns):
+            calls.append(1)
+            return exact(columns)
+
+        monkeypatch.setattr(homology, "_rank", counted)
+        assert reduced_homology_ranks(hollow_triangle, range(3)) == [0, 0, 1, 0]
+        assert reduced_homology_ranks(octahedron, range(6)) == [0, 0, 0, 1, 0, 0, 0]
+        assert calls == []
+        got = reduced_homology_ranks(rp2, range(6))
+        assert got == [0] * 7 == brute_reduced_homology(rp2, range(6))
+        assert calls
+
+    def test_matches_brute_force_on_random_complexes(self, monkeypatch):
+        # no complex drawn has 2-torsion, so every answer is certified over
+        # GF(2) and the exact ranks are never needed
+        monkeypatch.setattr(homology, "_rank", None)
+        rng = random.Random(20171)
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            nonfaces = tuple(
+                frozenset(rng.sample(range(n), rng.randint(2, min(5, n))))
+                for _ in range(rng.randint(1, 6))
+            )
+            k = SimplicialComplex(n, nonfaces)
+            sigma = [v for v in range(n) if rng.random() < 0.8]
+            assert reduced_homology_ranks(k, sigma) == brute_reduced_homology(k, sigma), (nonfaces, sigma)
+
     def test_size_guard(self):
         k = SimplicialComplex(17, ())
         with pytest.raises(ValueError):
@@ -180,6 +227,17 @@ class TestBettiTables:
         for g in (P3, CHERRY, K3):
             gens = list(initial_ideal(g, 2))
             assert hochster_betti(gens, grid).entries == brute_betti(gens, grid), g
+
+    def test_matches_brute_force_hochster_on_random_ideals(self):
+        rng = random.Random(20172)
+        for _ in range(30):
+            grid = VarGrid(2, rng.randint(1, 3))
+            variables = grid.variables()
+            gens = [
+                mono(*rng.sample(variables, rng.randint(2, min(5, grid.size))))
+                for _ in range(rng.randint(1, 5))
+            ]
+            assert hochster_betti(gens, grid).entries == brute_betti(gens, grid), gens
 
     def test_first_column_counts_generators_by_degree(self):
         for g, rows in ((P3, 2), (FAN, 2), (K3, 3), (CHERRY, 3)):

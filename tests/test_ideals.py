@@ -1,13 +1,10 @@
 from __future__ import annotations
 
-from itertools import combinations
-
 import pytest
 
-from gbei.graphs import Graph, enumerate_connected_graphs, is_path
+from gbei.graphs import Graph, enumerate_connected_graphs
 from gbei.ideals import (
     AdmissiblePath,
-    BasisValidationError,
     admissible_paths,
     antitone_maps,
     depth_formula,
