@@ -22,6 +22,10 @@ class GraphParseError(ValueError):
         self.line = line
 
 
+class SizeCap(ValueError):
+    """Valid input past a size cap; the message is the reason a report prints."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph.  Edges are canonical (u, v) pairs with u < v."""
@@ -453,7 +457,7 @@ def _census_masks(n: int, adj: list[int]) -> tuple[list[int], list[int], list[in
 
 def cut_set_census(g: Graph) -> CutSetCensus:
     if g.n > 20:
-        raise ValueError(f"census is exhaustive over subsets; n={g.n} is past the intended scale")
+        raise SizeCap(f"census is exhaustive over subsets; n={g.n} is past the intended scale")
     adj = _adj_masks(g)
     comp, minimal, cut_points = _census_masks(g.n, adj)
     omega = max(m.bit_count() for m in _facet_masks(g.n, adj)[0])
@@ -567,7 +571,7 @@ def enumerate_connected_graphs(n: int, classification: str | None = None):
     capped at n <= 7.
     """
     if n > 7:
-        raise ValueError(f"enumeration is exponential in C(n,2); n={n} > 7")
+        raise SizeCap(f"enumeration is exponential in C(n,2); n={n} > 7")
     if n < 1:
         raise ValueError("need n >= 1")
     want = classification or "all"

@@ -16,8 +16,8 @@ homology over the rationals (see _homology_vector); otherwise the ranks are
 recomputed over the rationals by exact integer elimination.  Either way
 every rank is exact: the oracle involves no floating point, no randomness
 and no external algebra system.  It shares nothing with the closed-form
-formulas or the Groebner engine beyond the monomial type, which is what
-makes it a genuine cross-check.
+formulas or the Groebner engine beyond the monomial type and the SizeCap
+error, which is what makes it a genuine cross-check.
 
 Two exactness-preserving shortcuts keep the subset iteration affordable.
 A subset with a vertex lying in no generator support inside it induces a
@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
+from .graphs import SizeCap
 from .poly import Monomial, VarGrid
 
 # the largest variable count (grid size) the oracle attempts
@@ -325,7 +326,7 @@ def reduced_homology_ranks(k: SimplicialComplex, restrict_to) -> list[int]:
         if not (0 <= v < k.vertex_count):
             raise ValueError(f"vertex {v} outside 0..{k.vertex_count - 1}")
     if len(s) > MAX_ORACLE_VARS:
-        raise ValueError(f"restriction to {len(s)} vertices is past the intended scale")
+        raise SizeCap(f"restriction to {len(s)} vertices is past the intended scale")
     sigma = 0
     for v in s:
         sigma |= 1 << v
@@ -395,7 +396,7 @@ def hochster_betti(gens, grid: VarGrid) -> BettiTable:
     """
     n = grid.size
     if n > MAX_ORACLE_VARS:
-        raise ValueError(f"{n} variables is past the intended scale (max {MAX_ORACLE_VARS})")
+        raise SizeCap(f"{n} variables exceeds the oracle cap of {MAX_ORACLE_VARS}")
     masks = _prune_masks(_support_mask(m, grid) for m in gens) if gens else ()
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     if not masks:

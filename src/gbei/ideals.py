@@ -26,6 +26,7 @@ from .graphs import (
     Classification,
     CutSetCensus,
     Graph,
+    SizeCap,
     classify,
     components_within,
     connected_components,
@@ -108,7 +109,7 @@ class AdmissiblePath:
 def admissible_paths(g: Graph) -> tuple[AdmissiblePath, ...]:
     """All admissible paths, sorted by (start, end, vertex sequence)."""
     if g.n > 10:
-        raise ValueError(f"path enumeration is exponential; n={g.n} > 10")
+        raise SizeCap(f"path enumeration is exponential; n={g.n} > 10")
     adj = {v: set() for v in range(1, g.n + 1)}
     for u, v in g.edges:
         adj[u].add(v)
@@ -415,7 +416,7 @@ class Analysis:
         """One prime per cut-point set, in census order."""
         g, rows = self.graph, self.rows
         if g.n > 12:
-            raise ValueError(f"prime enumeration is exhaustive over subsets; n={g.n} > 12")
+            raise SizeCap(f"prime enumeration is exhaustive over subsets; n={g.n} > 12")
         primes = []
         for t in self.census.cut_point_sets:
             rest = [v for v in range(1, g.n + 1) if v not in t]
@@ -429,6 +430,12 @@ class Analysis:
                 cut_set=t, components=comps, ideal=Ideal(gens), dimension=self.prime_dimensions[t],
             ))
         return tuple(primes)
+
+    @cached_property
+    def ideal(self) -> Ideal:
+        """The ideal on its defining generators; every check that compares
+        against the engine's basis shares one Buchberger run."""
+        return gbei_generators(self.graph, self.rows)
 
     @cached_property
     def basis(self) -> Ideal:

@@ -17,13 +17,14 @@ from contextlib import contextmanager
 from .graphs import (
     Classification,
     Graph,
+    SizeCap,
     classify,
     cut_set_census,
     enumerate_connected_graphs,
 )
-from .homology import MAX_ORACLE_VARS, hochster_betti
-from .ideals import Analysis, BasisValidationError, gbei_generators
-from .poly import VarGrid, buchberger, ideal_equal, intersect, monomial_ideal_equal
+from .homology import hochster_betti
+from .ideals import Analysis, BasisValidationError
+from .poly import VarGrid, ideal_equal, intersect, monomial_ideal_equal
 
 SCHEMA_VERSION = 1
 
@@ -66,7 +67,7 @@ def _census_block(census_of) -> dict:
     reason when the graph is past the census size cap."""
     try:
         census = census_of()
-    except ValueError as err:  # the census size cap: valid input, no census
+    except SizeCap as err:  # valid input, no census
         return {"status": "skipped", "reason": str(err)}
     return {
         "cliqueNumber": census.clique_number,
@@ -88,7 +89,7 @@ def _formula_block(analysis: Analysis) -> dict:
             "dimension": analysis.dimension,
             "unmixed": analysis.unmixed,
         }
-    except ValueError as err:  # the census size cap: every formula reads the census
+    except SizeCap as err:  # the census cap: every formula reads the census
         return {"status": "skipped", "reason": str(err)}
     if analysis.generalized_block:
         d = analysis.depth
@@ -122,28 +123,27 @@ def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, la
                 _check("groebner-cross-check", "fail", str(err)),
                 _check("squarefree-initial", "fail", "basis construction failed"),
             ]
-        except ValueError as err:  # the admissible-path size cap: valid input, no basis
+        except SizeCap as err:  # the admissible-path cap: valid input, no basis
             no_basis = f"skipped: {err}"
             basis_checks = [
                 _check("groebner-cross-check", "skipped", no_basis),
                 _check("squarefree-initial", "skipped", no_basis),
             ]
 
-    oracle_table = None
-    if nvars <= min(max_vars, MAX_ORACLE_VARS) and closed is not None:
-        with _lap(laps, "oracle"):
-            oracle_table = hochster_betti(closed, VarGrid(rows, g.n))
-
-    if not analysis.generalized_block:
-        why = "skipped: formulas undefined off generalized block graphs"
-    elif nvars > max_vars:
+    # undefined formulas outrank the first thing that stopped the oracle
+    oracle_table = why = None
+    if nvars > max_vars:
         why = f"skipped: {nvars} variables exceeds --max-vars {max_vars}"
-    elif nvars > MAX_ORACLE_VARS:
-        why = f"skipped: {nvars} variables exceeds the oracle cap of {MAX_ORACLE_VARS}"
     elif closed is None:
         why = no_basis
     else:
-        why = None
+        try:  # a capped oracle raises before its lap is recorded
+            with _lap(laps, "oracle"):
+                oracle_table = hochster_betti(closed, VarGrid(rows, g.n))
+        except SizeCap as err:
+            why = f"skipped: {err}"
+    if not analysis.generalized_block:
+        why = "skipped: formulas undefined off generalized block graphs"
     if why is not None:
         checks.append(_check("depth-vs-oracle", "skipped", why))
         checks.append(_check("regularity-vs-oracle", "skipped", why))
@@ -166,7 +166,7 @@ def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, la
         checks.extend(basis_checks)
     else:
         with _lap(laps, "groebner"):
-            engine = [f.leading_monomial() for f in buchberger(gbei_generators(g, rows).generators)]
+            engine = analysis.ideal.initial_monomials()
             same = monomial_ideal_equal(closed, engine)
         detail = f"{len(closed)} closed-form generators vs {len(engine)} engine leads"
         checks.append(_check("groebner-cross-check", "pass" if same else "fail", detail))
@@ -209,12 +209,12 @@ def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, la
 def _prime_intersection_check(analysis: Analysis) -> dict:
     try:
         primes = analysis.minimal_primes
-    except ValueError as err:  # the prime-enumeration size cap: valid input, no primes
+    except SizeCap as err:  # valid input, no primes
         return _check("prime-intersection", "skipped", f"skipped: {err}")
     acc = primes[0].ideal
     for p in primes[1:]:
         acc = intersect(acc, p.ideal)
-    same = ideal_equal(acc, gbei_generators(analysis.graph, analysis.rows))
+    same = ideal_equal(acc, analysis.ideal)
     detail = f"intersection of {len(primes)} primes"
     return _check("prime-intersection", "pass" if same else "fail", detail)
 

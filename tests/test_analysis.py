@@ -1,17 +1,20 @@
-"""One analysis per (graph, rows): every report computes the cut-set census
-and the closed-form basis once and shares them among its consumers."""
+"""One analysis per (graph, rows): every report computes the cut-set census,
+the closed-form basis and the engine basis once and shares them among its
+consumers."""
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import pytest
 
 import gbei.graphs
 import gbei.ideals
+import gbei.poly
 from gbei.report import corpus_report, invariants_report, verify_report
 
-from conftest import FAN, P3, graph_of
+from conftest import C4, FAN, P3, graph_of
 
 # a path on three vertices next to an edge: two components
 P3_PLUS_K2 = graph_of(5, (1, 2), (2, 3), (4, 5))
@@ -63,6 +66,28 @@ def test_one_census_per_corpus_row(calls, verify):
     graphs = report["summary"]["graphs"]
     assert calls["_census_masks"] == graphs
     assert calls["rauh_basis"] == (graphs if verify else 0)
+
+
+@pytest.mark.parametrize("g", [P3, C4], ids=["P3", "C4"])
+def test_one_engine_basis_per_verify_report(g):
+    """The Groebner cross-check and the prime check share one Buchberger
+    run on the defining generators, however `buchberger` is imported."""
+    defining = gbei.ideals.gbei_generators(g, 2).generators
+    code = gbei.poly.buchberger.__code__
+    runs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            runs.append(tuple(frame.f_locals["gens"]) == defining)
+
+    sys.setprofile(profile)
+    try:
+        report = verify_report(g, 2)
+    finally:
+        sys.setprofile(None)
+    checks = {c["name"]: c["status"] for c in report["verification"]["checks"]}
+    assert checks["groebner-cross-check"] == checks["prime-intersection"] == "pass"
+    assert runs.count(True) == 1
 
 
 def test_connected_graph_is_its_own_only_part():

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gbei
 from gbei.cli import main
 from gbei.report import (
     classify_report,
@@ -18,13 +22,17 @@ from gbei.report import (
     verdict_of,
     verify_report,
 )
-from gbei.graphs import Graph
+from gbei.graphs import Graph, SizeCap, cut_set_census, enumerate_connected_graphs
+from gbei.homology import SimplicialComplex, hochster_betti, reduced_homology_ranks
+from gbei.ideals import Analysis, admissible_paths, minor
+from gbei.poly import VarGrid
 
 from conftest import C4, FAN, P5
 
 P5_TEXT = "5\n1 2\n2 3\n3 4\n4 5\n"
 FAN_TEXT = "5\n1 2\n1 3\n2 3\n1 4\n2 4\n1 5\n2 5\n"
 C4_TEXT = "4\n1 2\n2 3\n3 4\n1 4\n"
+P11_TEXT = "11\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 11))
 P21_TEXT = "21\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 21))
 CENSUS_CAP = "census is exhaustive over subsets; n=21 is past the intended scale"
 
@@ -133,6 +141,16 @@ class TestInvariants:
         code, _, _ = run(capsys, "invariants", "--graph", path, "--rows", "2", "--strict")
         assert code == 3
 
+    def test_a_census_error_that_is_no_size_cap_is_not_a_skip(self, capsys, graph_file, monkeypatch):
+        def broken(n, adj):
+            raise ValueError("internal: bad mask")
+
+        monkeypatch.setattr("gbei.graphs._census_masks", broken)
+        path = graph_file("p5.txt", P5_TEXT)
+        code, out, err = run(capsys, "invariants", "--graph", path, "--rows", "2")
+        assert code == 2 and "internal: bad mask" in err
+        assert "census: skipped" not in out
+
 
 class TestVerify:
     def test_glued_triangles(self, capsys, graph_file):
@@ -187,6 +205,29 @@ class TestVerify:
         assert "depth: 12 (exact;" in out
         code, _, _ = run(capsys, "verify", "--graph", path, "--rows", "2", "--strict")
         assert code == 3
+
+    def test_path_past_both_path_and_oracle_caps_names_the_missing_basis(self, capsys, graph_file):
+        path = graph_file("p11.txt", P11_TEXT)
+        argv = ("verify", "--graph", path, "--rows", "2", "--max-vars", "30")
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0 and err == ""
+        checks = {c["name"]: (c["status"], c["detail"]) for c in json.loads(out)["verification"]["checks"]}
+        cap = ("skipped", "skipped: path enumeration is exponential; n=11 > 10")
+        for name in ("depth-vs-oracle", "regularity-vs-oracle", "groebner-cross-check", "squarefree-initial"):
+            assert checks[name] == cap
+        code, _, _ = run(capsys, *argv, "--strict")
+        assert code == 3
+
+    def test_a_basis_error_that_is_no_size_cap_is_not_a_skip(self, capsys, graph_file, monkeypatch):
+        def equal_rows(am):
+            v0 = am.values[0]
+            return minor((v0, v0), (am.path.start, am.path.end))
+
+        monkeypatch.setattr("gbei.ideals._basis_element", equal_rows)
+        path = graph_file("p3.txt", "3\n1 2\n2 3\n")
+        code, out, err = run(capsys, "verify", "--graph", path, "--rows", "2")
+        assert code == 2 and "rows must be increasing" in err
+        assert "skipped (skipped: rows must be increasing" not in out
 
     def test_path_past_the_prime_cap_skips_the_prime_check(self, capsys, graph_file):
         path = graph_file("p13.txt", "13\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 13)))
@@ -310,10 +351,53 @@ class TestRenderParity:
 def test_console_script_smoke(tmp_path):
     p = tmp_path / "p5.txt"
     p.write_text(P5_TEXT, encoding="utf-8")
+    src = str(Path(gbei.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "gbei.cli", "classify", "--graph", str(p)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("graph: 5 vertices")
+
+
+def _path(n: int) -> Graph:
+    return Graph.from_edges(n, [(v, v + 1) for v in range(1, n)])
+
+
+# each size cap, reached just past it, with the reason a report prints
+SIZE_CAPS = {
+    "census": (
+        lambda: cut_set_census(_path(21)),
+        "census is exhaustive over subsets; n=21 is past the intended scale",
+    ),
+    "admissible-paths": (
+        lambda: admissible_paths(_path(11)),
+        "path enumeration is exponential; n=11 > 10",
+    ),
+    "minimal-primes": (
+        lambda: Analysis(_path(13), 2).minimal_primes,
+        "prime enumeration is exhaustive over subsets; n=13 > 12",
+    ),
+    "oracle": (
+        lambda: hochster_betti([], VarGrid(2, 9)),
+        "18 variables exceeds the oracle cap of 16",
+    ),
+    "homology": (
+        lambda: reduced_homology_ranks(SimplicialComplex(17, ()), range(17)),
+        "restriction to 17 vertices is past the intended scale",
+    ),
+    "enumeration": (
+        lambda: next(enumerate_connected_graphs(8)),
+        "enumeration is exponential in C(n,2); n=8 > 7",
+    ),
+}
+
+
+@pytest.mark.parametrize("reach, reason", SIZE_CAPS.values(), ids=SIZE_CAPS)
+def test_every_size_cap_raises_size_cap(reach, reason):
+    assert issubclass(SizeCap, ValueError)
+    with pytest.raises(SizeCap, match=f"^{re.escape(reason)}$"):
+        reach()

@@ -2,7 +2,8 @@
 exported in `gbei.__all__`, or code in the package refers to it (another
 module by importing it, its own module by name).  A helper that nothing
 calls is deleted, not left behind.  Likewise every module-level import of
-the package and of the tests is used by the file that makes it."""
+the package and of the tests is used by the file that makes it, and the
+report turns only a size cap into a skipped verdict."""
 
 from __future__ import annotations
 
@@ -95,3 +96,21 @@ def test_every_module_level_import_is_used():
 def test_the_import_scan_sees_the_package_and_the_tests():
     names = {path.name for path in PACKAGE.glob("*.py")} | {path.name for path in TESTS.glob("*.py")}
     assert {"__init__.py", "report.py", "conftest.py", "test_dead_code.py"} <= names
+
+
+def _broad_handlers(tree: ast.Module) -> list[int]:
+    """Lines of the `except` clauses of `tree` that are bare or name
+    ValueError, Exception or BaseException."""
+    broad = {"ValueError", "Exception", "BaseException"}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and (node.type is None or any(isinstance(n, ast.Name) and n.id in broad for n in ast.walk(node.type)))
+    ]
+
+
+def test_report_skips_on_size_caps_only():
+    """Any other error propagates to the CLI's input-error exit, so a
+    defect cannot read as a skipped check."""
+    assert _broad_handlers(_parse(PACKAGE / "report.py")) == []
