@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .graphs import GraphParseError, parse_graph
+from .graphs import GraphParseError, SizeCap, parse_graph
 from .report import (
     DEFAULT_MAX_VARS,
     classify_report,
@@ -88,12 +88,19 @@ def _emit(report: dict, as_json: bool):
     sys.stdout.write(to_json(report) if as_json else render_text(report))
 
 
+def _input_error(err) -> int:
+    print(f"gbei: error: {err}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "rows", 2) < 2:
+        return _input_error(f"need at least 2 rows, got {args.rows}")
+    if getattr(args, "enumerate_n", 1) < 1:
+        return _input_error("need n >= 1")
     try:
         if args.command == "corpus":
-            if args.rows < 2:
-                raise ValueError(f"need at least 2 rows, got {args.rows}")
             report = corpus_report(
                 args.enumerate_n,
                 args.rows,
@@ -112,9 +119,8 @@ def main(argv=None) -> int:
                 report = verify_report(
                     g, args.rows, max_vars=args.max_vars, with_primes=args.with_primes
                 )
-    except (OSError, GraphParseError, ValueError) as err:
-        print(f"gbei: error: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except (OSError, UnicodeDecodeError, GraphParseError, SizeCap) as err:
+        return _input_error(err)  # any other error is a defect, not bad input
 
     _emit(report, args.json)
     if has_failure(report):

@@ -11,6 +11,7 @@ enumerations over all subsets or all small graphs affordable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 
@@ -57,6 +58,20 @@ class Graph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
+    @cached_property
+    def _adj(self) -> list[int]:
+        adj = [0] * self.n
+        for u, v in self.edges:
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
+        return adj
+
+    @cached_property
+    def _facets(self) -> tuple[list[int], bool]:
+        """(maximal clique masks, chordal flag), computed once per graph and
+        shared by classify, cut_set_census and clique_complex."""
+        return _facet_masks(self.n, self._adj)
+
     def __repr__(self):
         es = " ".join(f"{u}-{v}" for u, v in self.sorted_edges())
         return f"Graph(n={self.n}, {es or 'no edges'})"
@@ -101,14 +116,6 @@ def parse_graph(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 # bitmask internals
 
-def _adj_masks(g: Graph) -> list[int]:
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u - 1] |= 1 << (v - 1)
-        adj[v - 1] |= 1 << (u - 1)
-    return adj
-
-
 def _bits(mask: int):
     while mask:
         b = mask & -mask
@@ -136,7 +143,8 @@ def _component_masks(adj: list[int], mask: int) -> list[int]:
 
 
 def _mask_vertices(mask: int) -> tuple[int, ...]:
-    return tuple(b + 1 for b in _bits(mask))
+    # not tuple(genexpr): its shrunk-in-place results pile up on the free lists
+    return tuple([b + 1 for b in _bits(mask)])
 
 
 def _lex_bfs(n: int, adj: list[int]) -> list[int]:
@@ -187,24 +195,20 @@ def _perfect_elimination_order(n: int, adj: list[int]) -> list[int] | None:
 def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Chordality test.  Returns (True, perfect elimination order) or
     (False, None); the order lists 1-based vertices, earliest removed first."""
-    elim = _perfect_elimination_order(g.n, _adj_masks(g))
+    elim = _perfect_elimination_order(g.n, g._adj)
     if elim is None:
         return False, None
     return True, tuple(v + 1 for v in elim)
 
 
 def _peo_facet_masks(n: int, adj: list[int], elim: list[int]) -> list[int]:
-    """Maximal cliques of a chordal graph from an elimination order."""
-    pos = [0] * n
-    for idx, v in enumerate(elim):
-        pos[v] = idx
+    """Maximal cliques of a chordal graph: each vertex with its neighbors
+    later in the elimination order, pruned to the maximal ones."""
+    rem = (1 << n) - 1
     cands = []
     for v in elim:
-        mask = 1 << v
-        for w in _bits(adj[v]):
-            if pos[w] > pos[v]:
-                mask |= 1 << w
-        cands.append(mask)
+        cands.append((adj[v] | 1 << v) & rem)
+        rem ^= 1 << v
     return _prune_nonmaximal(cands)
 
 
@@ -243,10 +247,6 @@ def _facet_masks(n: int, adj: list[int]) -> tuple[list[int], bool]:
     if elim is None:
         return _bron_kerbosch(n, adj), False
     return _peo_facet_masks(n, adj, elim), True
-
-
-def _sorted_facets(masks: list[int]) -> list[int]:
-    return sorted(masks, key=_mask_vertices)
 
 
 def _leaf_order(facets: list[int]) -> tuple[int, ...] | None:
@@ -297,9 +297,8 @@ class CliqueComplex:
 
 
 def clique_complex(g: Graph) -> CliqueComplex:
-    adj = _adj_masks(g)
-    masks, chordal = _facet_masks(g.n, adj)
-    masks = _sorted_facets(masks)
+    masks, chordal = g._facets
+    masks = sorted(masks, key=_mask_vertices)
     order = _leaf_order(masks) if chordal else None
     facets = tuple(frozenset(_mask_vertices(m)) for m in masks)
     return CliqueComplex(facets=facets, leaf_order=order)
@@ -313,8 +312,7 @@ class Classification:
     clique_number: int
 
 
-def _classify_masks(n: int, adj: list[int]) -> tuple[bool, bool, bool, int]:
-    facets, chordal = _facet_masks(n, adj)
+def _classify_masks(facets: list[int], chordal: bool) -> tuple[bool, bool, bool, int]:
     omega = max(m.bit_count() for m in facets)
     if not chordal:
         return False, False, False, omega
@@ -340,7 +338,7 @@ def classify(g: Graph) -> Classification:
     any three maximal cliques with a common vertex have pairwise equal
     intersections.
     """
-    chordal, block, gblock, omega = _classify_masks(g.n, _adj_masks(g))
+    chordal, block, gblock, omega = _classify_masks(*g._facets)
     return Classification(
         chordal=chordal,
         block_graph=block,
@@ -351,8 +349,7 @@ def classify(g: Graph) -> Classification:
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the components, each sorted, ordered by least element."""
-    adj = _adj_masks(g)
-    comps = _component_masks(adj, (1 << g.n) - 1)
+    comps = _component_masks(g._adj, (1 << g.n) - 1)
     return tuple(sorted(_mask_vertices(m) for m in comps))
 
 
@@ -367,7 +364,7 @@ def components_within(g: Graph, vertices) -> tuple[tuple[int, ...], ...]:
         if not (1 <= v <= g.n):
             raise ValueError(f"vertex {v} outside 1..{g.n}")
         mask |= 1 << (v - 1)
-    comps = _component_masks(_adj_masks(g), mask)
+    comps = _component_masks(g._adj, mask)
     return tuple(sorted(_mask_vertices(m) for m in comps))
 
 
@@ -425,42 +422,52 @@ class CutSetCensus:
         return len(self.minimal_cut_sets.get(i, ()))
 
 
-def _census_masks(n: int, adj: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """(component counts by removed mask, minimal cut masks, cut point masks)."""
-    full = (1 << n) - 1
-    comp = [0] * (1 << n)
-    for removed in range(1 << n):
-        comp[removed] = len(_component_masks(adj, full & ~removed))
-    base = comp[0]
-    contains_cut = bytearray(1 << n)
+def _census_masks(adj: list[int], core: int) -> tuple[list[int], dict[int, int]]:
+    """(minimal cut masks, {cut point mask: component count}) in increasing
+    mask order, visiting only the removed masks inside `core`.  A vertex off
+    the core is simplicial: put back into G - T, it joins one component or
+    adds one, so it lies in no cut point set and no minimal cut set.  The
+    k-th submask t of core carries the bits of k on core's bits, so k ^ b
+    indexes t with one vertex put back."""
+    full = (1 << len(adj)) - 1
+    comp = [0] * (1 << core.bit_count())
+    contains_cut = bytearray(len(comp))
     minimal = []
-    cut_points = [0]
-    for t in range(1, 1 << n):
-        is_cut = comp[t] > base
+    cut_points = {}
+    t = 0
+    for k in range(len(comp)):
+        comp[k] = c = len(_component_masks(adj, full & ~t))
+        is_cut = c > comp[0]
         proper = False
         point = True
-        tt = t
-        while tt:
-            b = tt & -tt
-            tt ^= b
-            if contains_cut[t ^ b]:
+        kk = k
+        while kk:
+            b = kk & -kk
+            kk ^= b
+            if contains_cut[k ^ b]:
                 proper = True
-            if comp[t ^ b] >= comp[t]:
+            if comp[k ^ b] >= c:
                 point = False
         if is_cut and not proper:
             minimal.append(t)
-        contains_cut[t] = 1 if (is_cut or proper) else 0
+        contains_cut[k] = is_cut or proper
         if point:
-            cut_points.append(t)
-    return comp, minimal, cut_points
+            cut_points[t] = c
+        t = (t - core) & core
+    return minimal, cut_points
 
 
 def cut_set_census(g: Graph) -> CutSetCensus:
+    """Exhaustive over the subsets of the core, the vertices in two or more
+    facets (see _census_masks): 2^|core| component counts."""
     if g.n > 20:
         raise SizeCap(f"census is exhaustive over subsets; n={g.n} is past the intended scale")
-    adj = _adj_masks(g)
-    comp, minimal, cut_points = _census_masks(g.n, adj)
-    omega = max(m.bit_count() for m in _facet_masks(g.n, adj)[0])
+    facets = g._facets[0]
+    core = 0
+    for a, b in combinations(facets, 2):
+        core |= a & b
+    minimal, cut_points = _census_masks(g._adj, core)
+    omega = max(m.bit_count() for m in facets)
     groups: dict[int, list[frozenset[int]]] = {}
     for m in minimal:
         groups.setdefault(m.bit_count(), []).append(frozenset(_mask_vertices(m)))
@@ -473,7 +480,7 @@ def cut_set_census(g: Graph) -> CutSetCensus:
         minimal_cut_sets=minimal_sets,
         counts=counts,
         cut_point_sets=tuple(cps),
-        component_counts={frozenset(_mask_vertices(t)): comp[t] for t in cut_points},
+        component_counts={frozenset(_mask_vertices(t)): c for t, c in cut_points.items()},
         clique_number=omega,
     )
 
@@ -592,18 +599,12 @@ def enumerate_connected_graphs(n: int, classification: str | None = None):
         if len(_component_masks(adj, full)) != 1:
             continue
         if want != "all":
-            chordal, block, gblock, _ = _classify_masks(n, adj)
+            chordal, block, gblock, _ = _classify_masks(*_facet_masks(n, adj))
             if want == "chordal" and not chordal:
                 continue
             if want == "block" and not block:
                 continue
             if want == "gblock" and not gblock:
                 continue
-        mm = mask
-        edges = []
-        while mm:
-            b = mm & -mm
-            mm ^= b
-            u, v = pairs[b.bit_length() - 1]
-            edges.append((u + 1, v + 1))
+        edges = [(u + 1, v + 1) for i, (u, v) in enumerate(pairs) if mask >> i & 1]
         yield Graph.from_edges(n, edges)

@@ -68,6 +68,16 @@ def test_one_census_per_corpus_row(calls, verify):
     assert calls["rauh_basis"] == (graphs if verify else 0)
 
 
+@pytest.mark.parametrize("g", [P3, FAN, C4], ids=["P3", "FAN", "C4"])
+def test_one_facet_computation_per_invariants_report(monkeypatch, g):
+    """classify and the census share the maximal cliques of one graph."""
+    runs = []
+    real = gbei.graphs._facet_masks
+    monkeypatch.setattr(gbei.graphs, "_facet_masks", lambda n, adj: runs.append(n) or real(n, adj))
+    invariants_report(gbei.graphs.Graph(g.n, g.edges), 2)  # a fresh copy: nothing cached yet
+    assert runs == [g.n]
+
+
 @pytest.mark.parametrize("g", [P3, C4], ids=["P3", "C4"])
 def test_one_engine_basis_per_verify_report(g):
     """The Groebner cross-check and the prime check share one Buchberger

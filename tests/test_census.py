@@ -1,0 +1,139 @@
+"""The cut-set census visits only the removed sets inside the core (the
+vertices in two or more maximal cliques).  It is checked here against the
+exhaustive census over all 2^n removed sets, kept as the reference."""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+from itertools import combinations
+
+import pytest
+
+import gbei.graphs
+from gbei.graphs import Graph, classify, cut_set_census, enumerate_connected_graphs, is_connected
+from gbei.report import invariants_report
+
+from conftest import graph_of
+
+
+def exhaustive_census_masks(adj: list[int], core: int) -> tuple[list[int], dict[int, int]]:
+    """Reference: the census over every removed mask, ignoring `core`.
+    (minimal cut masks, {cut point mask: component count})."""
+    n = len(adj)
+    full = (1 << n) - 1
+    comp = [0] * (1 << n)
+    for removed in range(1 << n):
+        comp[removed] = len(gbei.graphs._component_masks(adj, full & ~removed))
+    base = comp[0]
+    contains_cut = bytearray(1 << n)
+    minimal = []
+    cut_points = [0]
+    for t in range(1, 1 << n):
+        is_cut = comp[t] > base
+        proper = False
+        point = True
+        tt = t
+        while tt:
+            b = tt & -tt
+            tt ^= b
+            if contains_cut[t ^ b]:
+                proper = True
+            if comp[t ^ b] >= comp[t]:
+                point = False
+        if is_cut and not proper:
+            minimal.append(t)
+        contains_cut[t] = 1 if (is_cut or proper) else 0
+        if point:
+            cut_points.append(t)
+    return minimal, {t: comp[t] for t in cut_points}
+
+
+@pytest.fixture
+def both_censuses(monkeypatch):
+    """g -> (core census, exhaustive census), both through cut_set_census."""
+    kernels = {"core": gbei.graphs._census_masks, "exhaustive": exhaustive_census_masks}
+    use = ["core"]
+    monkeypatch.setattr(gbei.graphs, "_census_masks", lambda adj, core: kernels[use[0]](adj, core))
+
+    def censuses(g: Graph):
+        use[0] = "core"
+        core = cut_set_census(g)
+        use[0] = "exhaustive"
+        return core, cut_set_census(g)
+
+    return censuses
+
+
+def assert_same(core, exhaustive, g):
+    assert core == exhaustive, g
+    # the cut point sets also come out in the same order
+    assert list(core.component_counts) == list(exhaustive.component_counts), g
+
+
+def random_graphs(rng: random.Random, count: int):
+    """Half G(n, p), often disconnected or not chordal; half cliques glued
+    along subsets of earlier ones, chordal with large cores."""
+    for i in range(count):
+        n = rng.randint(1, 11)
+        if i % 2:
+            p = rng.random()
+            yield Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p])
+            continue
+        edges, placed = [], [1]
+        while len(placed) < n:
+            glue = rng.sample(placed, rng.randint(0, min(3, len(placed))))
+            new = list(range(len(placed) + 1, min(n, len(placed) + rng.randint(1, 3)) + 1))
+            edges += combinations(glue + new, 2)
+            placed += new
+        yield Graph.from_edges(n, edges)
+
+
+def test_core_census_equals_exhaustive_on_every_connected_graph_up_to_six(both_censuses):
+    seen = 0
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            assert_same(*both_censuses(g), g)
+            seen += 1
+    assert seen == 1 + 1 + 4 + 38 + 728 + 26704
+
+
+def test_core_census_equals_exhaustive_on_random_graphs(both_censuses):
+    kinds = set()
+    for g in random_graphs(random.Random(7), 300):
+        core, exhaustive = both_censuses(g)
+        assert_same(core, exhaustive, g)
+        kinds.add((is_connected(g), classify(g).chordal, g.n >= 9 and len(core.cut_point_sets) > 8))
+    # disconnected, non-chordal, and large graphs with many cut point sets all drawn
+    connected, chordal, large = zip(*kinds)
+    assert set(connected) == set(chordal) == set(large) == {False, True}
+
+
+def test_census_visits_only_subsets_of_the_core(monkeypatch):
+    cores = []
+    real = gbei.graphs._census_masks
+    monkeypatch.setattr(gbei.graphs, "_census_masks", lambda adj, core: cores.append(core) or real(adj, core))
+    # a triangle 1-2-3 with pendant edges 3-4 and 4-5, and isolated 6
+    census = cut_set_census(graph_of(6, (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))
+    assert cores == [0b01100]
+    assert census.minimal_cut_sets == {1: (frozenset({3}), frozenset({4}))}
+    # {3, 4} leaves three components, no more than {3} alone: no cut point set
+    assert census.component_counts == {frozenset(): 2, frozenset({3}): 3, frozenset({4}): 3}
+
+
+def test_repeated_reports_hold_memory_flat():
+    """A report leaves nothing behind: after a warm-up, hundreds more of them
+    grow the traced heap by less than 16 KiB."""
+    # six triangles in a chain, 13 vertices: a core of 5
+    g = graph_of(13, *(e for i in range(1, 13, 2) for e in combinations((i, i + 1, i + 2), 2)))
+    for _ in range(5):
+        invariants_report(g, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            invariants_report(g, 2)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 1024

@@ -81,6 +81,12 @@ class TestClassify:
         assert code == 2 and out == ""
         assert err.startswith("gbei: error:")
 
+    def test_undecodable_file_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"2\n1 2 # caf\xe9\n")
+        code, out, err = run(capsys, "classify", "--graph", str(path))
+        assert code == 2 and out == "" and "codec can't decode" in err
+
     def test_parse_error_is_an_input_error(self, capsys, graph_file):
         code, _, err = run(capsys, "classify", "--graph", graph_file("bad.txt", "3\n1 9\n"))
         assert code == 2
@@ -111,6 +117,10 @@ class TestInvariants:
             capsys, "invariants", "--graph", graph_file("p5.txt", P5_TEXT), "--rows", "1"
         )
         assert code == 2 and "at least 2 rows" in err
+
+    def test_rows_are_checked_before_the_graph_is_read(self, capsys):
+        code, _, err = run(capsys, "verify", "--graph", "/nonexistent/g.txt", "--rows", "0")
+        assert code == 2 and err == "gbei: error: need at least 2 rows, got 0\n"
 
     def test_non_gblock_skips_formulas(self, capsys, graph_file):
         code, out, _ = run(
@@ -147,9 +157,9 @@ class TestInvariants:
 
         monkeypatch.setattr("gbei.graphs._census_masks", broken)
         path = graph_file("p5.txt", P5_TEXT)
-        code, out, err = run(capsys, "invariants", "--graph", path, "--rows", "2")
-        assert code == 2 and "internal: bad mask" in err
-        assert "census: skipped" not in out
+        with pytest.raises(ValueError, match="internal: bad mask"):
+            main(["invariants", "--graph", path, "--rows", "2"])
+        assert capsys.readouterr() == ("", "")
 
 
 class TestVerify:
@@ -225,9 +235,9 @@ class TestVerify:
 
         monkeypatch.setattr("gbei.ideals._basis_element", equal_rows)
         path = graph_file("p3.txt", "3\n1 2\n2 3\n")
-        code, out, err = run(capsys, "verify", "--graph", path, "--rows", "2")
-        assert code == 2 and "rows must be increasing" in err
-        assert "skipped (skipped: rows must be increasing" not in out
+        with pytest.raises(ValueError, match="rows must be increasing"):
+            main(["verify", "--graph", path, "--rows", "2"])
+        assert capsys.readouterr() == ("", "")
 
     def test_path_past_the_prime_cap_skips_the_prime_check(self, capsys, graph_file):
         path = graph_file("p13.txt", "13\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 13)))
@@ -302,6 +312,12 @@ class TestCorpus:
     def test_enumeration_guard(self, capsys):
         code, _, err = run(capsys, "corpus", "--enumerate", "8", "--rows", "2")
         assert code == 2 and "n=8 > 7" in err
+
+    @pytest.mark.parametrize("n, rows, message", [(0, 2, "need n >= 1"), (3, 1, "need at least 2 rows, got 1")])
+    def test_counts_are_checked_before_any_work(self, capsys, monkeypatch, n, rows, message):
+        monkeypatch.setattr("gbei.report.enumerate_connected_graphs", None)  # never reached
+        code, out, err = run(capsys, "corpus", "--enumerate", str(n), "--rows", str(rows))
+        assert (code, out, err) == (2, "", f"gbei: error: {message}\n")
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "corpus", "--enumerate", "3", "--rows", "2", "--json")
