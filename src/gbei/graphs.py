@@ -6,6 +6,12 @@ graphs.
 Vertices are 1-based in the public API.  Internally most routines work on
 adjacency bitmasks (bit v-1 is vertex v), which keeps the exhaustive
 enumerations over all subsets or all small graphs affordable.
+
+Chordality, the perfect elimination order and the maximal cliques (facets)
+all come from one simplicial elimination: remove the smallest vertex whose
+remaining neighbors form a clique until none is left.  The graph is chordal
+exactly when every vertex goes; the facets are the maximal closed
+neighborhoods at removal, plus Bron-Kerbosch on whatever is left.
 """
 
 from __future__ import annotations
@@ -69,8 +75,9 @@ class Graph:
     @cached_property
     def _facets(self) -> tuple[list[int], bool]:
         """(maximal clique masks, chordal flag), computed once per graph and
-        shared by classify, cut_set_census and clique_complex."""
-        return _facet_masks(self.n, self._adj)
+        shared by classify, cut_set_census and clique_complex; a filtered
+        enumerate_connected_graphs fills it in."""
+        return _facet_masks(self._adj)
 
     def __repr__(self):
         es = " ".join(f"{u}-{v}" for u, v in self.sorted_edges())
@@ -147,69 +154,51 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple([b + 1 for b in _bits(mask)])
 
 
-def _lex_bfs(n: int, adj: list[int]) -> list[int]:
-    """Lexicographic BFS visit order (0-based vertices).
+def _simplicial_elimination(adj: list[int]) -> tuple[list[int], list[int], int]:
+    """Remove the smallest remaining simplicial vertex (one whose remaining
+    neighbors are pairwise adjacent) until none is left.  Returns the
+    removal order (0-based), each removed vertex's closed neighborhood at
+    its removal, and the kernel: the mask of vertices never removed.  The
+    kernel is empty exactly when the graph is chordal (Fulkerson-Gross), and
+    the order is then a perfect elimination order."""
 
-    Ties are broken toward the smallest vertex, so the order and everything
-    derived from it is deterministic.
-    """
-    labels: list[list[int]] = [[] for _ in range(n)]
-    visited = [False] * n
-    order = []
-    for step in range(n):
-        best = -1
-        for v in range(n):
-            if visited[v]:
-                continue
-            if best < 0 or labels[v] > labels[best]:
-                best = v
-        visited[best] = True
-        order.append(best)
-        stamp = n - step
-        for w in _bits(adj[best]):
-            if not visited[w]:
-                labels[w].append(stamp)
-    return order
+    def simplicial(v: int, rem: int) -> bool:
+        rest = adj[v] & rem
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if rest & ~adj[b.bit_length() - 1]:
+                return False
+        return True
 
-
-def _perfect_elimination_order(n: int, adj: list[int]) -> list[int] | None:
-    """The reversed lex-BFS order when it is a perfect elimination order
-    (eliminating in that order always removes a vertex whose remaining
-    neighbors form a clique), else None.  It is one exactly when the graph
-    is chordal."""
-    elim = list(reversed(_lex_bfs(n, adj)))
-    pos = [0] * n
-    for idx, v in enumerate(elim):
-        pos[v] = idx
-    for v in elim:
-        later = [w for w in _bits(adj[v]) if pos[w] > pos[v]]
-        if not later:
-            continue
-        u = min(later, key=lambda w: pos[w])
-        for w in later:
-            if w != u and not (adj[u] >> w) & 1:
-                return None
-    return elim
+    rem = (1 << len(adj)) - 1
+    # removing a vertex keeps the others' simpliciality, and changes only
+    # its neighbors' neighborhoods
+    simp = sum(1 << v for v in range(len(adj)) if simplicial(v, rem))
+    order, closed = [], []
+    while simp:
+        b = simp & -simp
+        v = b.bit_length() - 1
+        nbrs = adj[v] & rem
+        order.append(v)
+        closed.append(nbrs | b)
+        rem ^= b
+        simp ^= b
+        for w in _bits(nbrs & ~simp):
+            if simplicial(w, rem):
+                simp |= 1 << w
+    return order, closed, rem
 
 
 def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Chordality test.  Returns (True, perfect elimination order) or
-    (False, None); the order lists 1-based vertices, earliest removed first."""
-    elim = _perfect_elimination_order(g.n, g._adj)
-    if elim is None:
+    (False, None).  The order lists 1-based vertices in the order they are
+    removed, each time the smallest vertex whose remaining neighbors form a
+    clique."""
+    order, _, kernel = _simplicial_elimination(g._adj)
+    if kernel:
         return False, None
-    return True, tuple(v + 1 for v in elim)
-
-
-def _peo_facet_masks(n: int, adj: list[int], elim: list[int]) -> list[int]:
-    """Maximal cliques of a chordal graph: each vertex with its neighbors
-    later in the elimination order, pruned to the maximal ones."""
-    rem = (1 << n) - 1
-    cands = []
-    for v in elim:
-        cands.append((adj[v] | 1 << v) & rem)
-        rem ^= 1 << v
-    return _prune_nonmaximal(cands)
+    return True, tuple(v + 1 for v in order)
 
 
 def _prune_nonmaximal(masks: list[int]) -> list[int]:
@@ -221,8 +210,9 @@ def _prune_nonmaximal(masks: list[int]) -> list[int]:
     return kept
 
 
-def _bron_kerbosch(n: int, adj: list[int]) -> list[int]:
-    """All maximal cliques by branch and bound with pivoting."""
+def _bron_kerbosch(adj: list[int], mask: int) -> list[int]:
+    """All maximal cliques of the subgraph induced on `mask`, by branch and
+    bound with pivoting."""
     out: list[int] = []
 
     def expand(r: int, p: int, x: int):
@@ -236,17 +226,18 @@ def _bron_kerbosch(n: int, adj: list[int]) -> list[int]:
             p &= ~bit
             x |= bit
 
-    expand(0, (1 << n) - 1, 0)
+    expand(0, mask, 0)
     return out
 
 
-def _facet_masks(n: int, adj: list[int]) -> tuple[list[int], bool]:
-    """(maximal clique masks, chordal flag); elimination-order route for
-    chordal graphs, exhaustive search otherwise."""
-    elim = _perfect_elimination_order(n, adj)
-    if elim is None:
-        return _bron_kerbosch(n, adj), False
-    return _peo_facet_masks(n, adj, elim), True
+def _facet_masks(adj: list[int]) -> tuple[list[int], bool]:
+    """(maximal clique masks, chordal flag).  A facet whose first removed
+    vertex is v is v's closed neighborhood at its removal; a facet with no
+    removed vertex is a maximal clique of the kernel."""
+    _, closed, kernel = _simplicial_elimination(adj)
+    if kernel:
+        closed += _bron_kerbosch(adj, kernel)
+    return _prune_nonmaximal(closed), not kernel
 
 
 def _leaf_order(facets: list[int]) -> tuple[int, ...] | None:
@@ -316,17 +307,14 @@ def _classify_masks(facets: list[int], chordal: bool) -> tuple[bool, bool, bool,
     omega = max(m.bit_count() for m in facets)
     if not chordal:
         return False, False, False, omega
-    block = True
-    for a, b in combinations(facets, 2):
-        if (a & b).bit_count() > 1:
-            block = False
-            break
-    gblock = True
-    for a, b, c in combinations(facets, 3):
-        if a & b & c:
-            if not (a & b == b & c == a & c):
-                gblock = False
-                break
+    # facets that meet share a vertex: compare them only within the facets
+    # through one vertex, not over all pairs and triples
+    through: dict[int, list[int]] = {}
+    for f in facets:
+        for v in _bits(f):
+            through.setdefault(v, []).append(f)
+    block = all((a & b).bit_count() <= 1 for fs in through.values() for a, b in combinations(fs, 2))
+    gblock = all(a & b == b & c == a & c for fs in through.values() for a, b, c in combinations(fs, 3))
     return True, block, gblock, omega
 
 
@@ -599,7 +587,8 @@ def enumerate_connected_graphs(n: int, classification: str | None = None):
         if len(_component_masks(adj, full)) != 1:
             continue
         if want != "all":
-            chordal, block, gblock, _ = _classify_masks(*_facet_masks(n, adj))
+            facets = _facet_masks(adj)
+            chordal, block, gblock, _ = _classify_masks(*facets)
             if want == "chordal" and not chordal:
                 continue
             if want == "block" and not block:
@@ -607,4 +596,10 @@ def enumerate_connected_graphs(n: int, classification: str | None = None):
             if want == "gblock" and not gblock:
                 continue
         edges = [(u + 1, v + 1) for i, (u, v) in enumerate(pairs) if mask >> i & 1]
-        yield Graph.from_edges(n, edges)
+        g = Graph.from_edges(n, edges)
+        # the yielded graph keeps what the filter computed, stored where its
+        # cached properties would store it
+        vars(g)["_adj"] = adj
+        if want != "all":
+            vars(g)["_facets"] = facets
+        yield g

@@ -68,14 +68,28 @@ def test_one_census_per_corpus_row(calls, verify):
     assert calls["rauh_basis"] == (graphs if verify else 0)
 
 
-@pytest.mark.parametrize("g", [P3, FAN, C4], ids=["P3", "FAN", "C4"])
-def test_one_facet_computation_per_invariants_report(monkeypatch, g):
-    """classify and the census share the maximal cliques of one graph."""
+@pytest.fixture
+def facet_runs(monkeypatch) -> list[int]:
+    """The vertex count of each graph whose maximal cliques are computed."""
     runs = []
     real = gbei.graphs._facet_masks
-    monkeypatch.setattr(gbei.graphs, "_facet_masks", lambda n, adj: runs.append(n) or real(n, adj))
+    monkeypatch.setattr(gbei.graphs, "_facet_masks", lambda adj: runs.append(len(adj)) or real(adj))
+    return runs
+
+
+@pytest.mark.parametrize("g", [P3, FAN, C4], ids=["P3", "FAN", "C4"])
+def test_one_facet_computation_per_invariants_report(facet_runs, g):
+    """classify and the census share the maximal cliques of one graph."""
     invariants_report(gbei.graphs.Graph(g.n, g.edges), 2)  # a fresh copy: nothing cached yet
-    assert runs == [g.n]
+    assert facet_runs == [g.n]
+
+
+def test_one_facet_computation_per_enumerated_graph(facet_runs):
+    """The corpus rows reuse the maximal cliques the gblock filter computed
+    for each of the 38 connected graphs on 4 vertices."""
+    report = corpus_report(4, 2, "gblock", False)
+    assert report["summary"]["graphs"] == 35
+    assert facet_runs == [4] * 38
 
 
 @pytest.mark.parametrize("g", [P3, C4], ids=["P3", "C4"])

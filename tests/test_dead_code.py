@@ -1,13 +1,15 @@
 """Every public module-level function of the package has a user: it is
 exported in `gbei.__all__`, or code in the package refers to it (another
-module by importing it, its own module by name).  A helper that nothing
-calls is deleted, not left behind.  Likewise every module-level import of
-the package and of the tests is used by the file that makes it, and the
-report turns only a size cap into a skipped verdict."""
+module by importing it, its own module by name).  Every private one is
+referred to somewhere in the package outside its own body.  A helper that
+nothing calls is deleted, not left behind.  Likewise every module-level
+import of the package and of the tests is used by the file that makes it,
+and the report turns only a size cap into a skipped verdict."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import gbei
@@ -56,6 +58,29 @@ def test_every_public_function_is_exported_or_used_in_the_package():
             for name in _public_functions(tree)
             if name not in exported and name not in used
         )
+    assert unused == []
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read under `node`, bare or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_private_function_is_used_in_the_package():
+    trees = _trees()
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and everywhere[node.name] == _references(node)[node.name]
+    ]
     assert unused == []
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
 
+import gbei.graphs
 from gbei.graphs import (
     Graph,
     GraphParseError,
@@ -57,6 +59,23 @@ def all_graphs(n: int):
         yield Graph.from_edges(n, [slots[i] for i in range(len(slots)) if bits >> i & 1])
 
 
+def cycle_or_wheel_with_simplicial_parts(rng: random.Random) -> Graph:
+    """A chordless 4- to 6-cycle, or a wheel on a 4- or 5-cycle, neither of
+    which has a simplicial vertex, grown to at most 9 vertices by new
+    vertices each joined to a clique of the graph so far."""
+    k = rng.randint(4, 6)
+    edges = {(i, i + 1) for i in range(1, k)} | {(1, k)}
+    n = k
+    if k < 6 and rng.random() < 0.5:
+        n += 1
+        edges |= {(i, n) for i in range(1, k + 1)}
+    for _ in range(rng.randint(1, 9 - n)):
+        facet = sorted(rng.choice(sorted(brute_facets(Graph.from_edges(n, edges)), key=sorted)))
+        n += 1
+        edges |= {(v, n) for v in rng.sample(facet, rng.randint(1, len(facet)))}
+    return Graph.from_edges(n, edges)
+
+
 class TestParsing:
     def test_roundtrip_with_comments_and_blanks(self):
         g = parse_graph("# a path\n\n3\n1 2\n\n2 3\n")
@@ -93,10 +112,20 @@ class TestChordality:
                 assert is_chordal(g)[0] == brute_chordal(g), g
 
     def test_perfect_elimination_order_witness(self):
-        ok, order = is_chordal(P5)
-        assert ok and sorted(order) == [1, 2, 3, 4, 5]
-        ok, order = is_chordal(C4)
-        assert not ok and order is None
+        # the smallest vertex with a clique of remaining neighbors goes first
+        assert is_chordal(P5) == (True, (1, 2, 3, 4, 5))
+        assert is_chordal(STAR) == (True, (2, 3, 1, 4))
+        assert is_chordal(C4) == (False, None)
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                ok, order = is_chordal(g)
+                if not ok:
+                    continue
+                assert sorted(order) == list(range(1, n + 1)), g
+                # each vertex's neighbors later in the order are pairwise adjacent
+                for i, v in enumerate(order):
+                    later = sorted(w for w in order[i + 1:] if (min(v, w), max(v, w)) in g.edges)
+                    assert all(e in g.edges for e in combinations(later, 2)), g
 
 
 class TestCliqueComplex:
@@ -104,6 +133,12 @@ class TestCliqueComplex:
         for n in range(1, 6):
             for g in all_graphs(n):
                 assert set(clique_complex(g).facets) == brute_facets(g), g
+        # simplicial parts around a kernel that the elimination cannot remove
+        rng = random.Random(11)
+        for _ in range(200):
+            g = cycle_or_wheel_with_simplicial_parts(rng)
+            assert not is_chordal(g)[0], g
+            assert set(clique_complex(g).facets) == brute_facets(g), g
 
     def test_facets_match_exhaustive_search_chordal_n6(self):
         for g in enumerate_connected_graphs(6, "chordal"):
@@ -148,6 +183,23 @@ class TestClassification:
         c = classify(FAN)
         assert c.chordal and not c.block_graph and c.generalized_block_graph
         assert c.clique_number == 3
+
+    def test_generalized_block_test_compares_only_facets_through_one_vertex(self, monkeypatch):
+        # a path's facets meet at most two to a vertex: no triple to examine
+        triples = [0]
+        real = gbei.graphs.combinations
+
+        def counted(items, k):
+            for t in real(items, k):
+                triples[0] += k == 3
+                yield t
+
+        monkeypatch.setattr(gbei.graphs, "combinations", counted)
+        c = classify(Graph.from_edges(300, [(v, v + 1) for v in range(1, 300)]))
+        assert c.generalized_block_graph and c.block_graph
+        assert triples == [0]
+        assert not classify(graph_of(5, (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (3, 5))).generalized_block_graph
+        assert triples[0] > 0
 
     def test_four_cycle_is_nothing(self):
         c = classify(C4)
