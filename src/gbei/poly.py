@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 Var = tuple[int, int]
 
@@ -195,7 +196,11 @@ ONE = Monomial(())
 
 
 class Polynomial:
-    """Sparse polynomial: a map from Monomial to nonzero Fraction."""
+    """Sparse polynomial: a map from Monomial to nonzero Fraction.
+
+    `terms` is never mutated after construction; every operation returns a
+    new polynomial.  The leading monomial is therefore cached on first use.
+    """
 
     __slots__ = ("terms", "_lead")
 
@@ -270,7 +275,7 @@ class Polynomial:
         """Leading (monomial, coefficient) under the fixed lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        if self._lead is None or self._lead not in self.terms:
+        if self._lead is None:
             self._lead = max(self.terms)
         return self._lead, self.terms[self._lead]
 
@@ -393,8 +398,10 @@ def buchberger(gens) -> tuple[Polynomial, ...]:
 
     Classic Buchberger loop with the normal selection strategy (pairs with
     the smallest lcm first) plus the coprimality and chain criteria.  The
-    result is the unique reduced basis, monic and sorted by decreasing
-    leading monomial.
+    pair queue is a heap keyed once per pair, when the pair is created, on
+    (lcm degree, lcm, i, j); the keys are unique, so pairs are popped in
+    exactly the normal-selection order.  The result is the unique reduced
+    basis, monic and sorted by decreasing leading monomial.
     """
     basis: list[Polynomial] = []
     for f in gens:
@@ -404,17 +411,16 @@ def buchberger(gens) -> tuple[Polynomial, ...]:
         return ()
 
     leads = [g.leading_monomial() for g in basis]
-    pairs: set[tuple[int, int]] = {(i, j) for j in range(len(basis)) for i in range(j)}
     done: set[tuple[int, int]] = set()
 
-    def pair_key(p):
-        i, j = p
+    def pair_key(i, j):
         l = leads[i].lcm(leads[j])
         return (l.degree, l, i, j)
 
+    pairs = [pair_key(i, j) for j in range(len(basis)) for i in range(j)]
+    heapify(pairs)
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
+        _, _, i, j = heappop(pairs)
         done.add((i, j))
         if _skip_pair(leads, i, j, done):
             continue
@@ -424,7 +430,8 @@ def buchberger(gens) -> tuple[Polynomial, ...]:
             basis.append(h)
             leads.append(h.leading_monomial())
             t = len(basis) - 1
-            pairs.update((k, t) for k in range(t))
+            for k in range(t):
+                heappush(pairs, pair_key(k, t))
     return _interreduce(basis)
 
 

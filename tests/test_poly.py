@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import gbei.poly
-from gbei.ideals import gbei_generators, rauh_basis
+from gbei.ideals import gbei_generators, minimal_primes, rauh_basis
 from gbei.poly import (
     ELIM,
     Ideal,
@@ -24,7 +24,7 @@ from gbei.poly import (
     s_polynomial,
 )
 
-from conftest import K4
+from conftest import K4, STAR
 
 
 def mono(*vars_and_powers) -> Monomial:
@@ -43,6 +43,20 @@ def minor2(k, l, i, j) -> Polynomial:
     lead = mono((k, i), (l, j))
     tail = mono((l, i), (k, j))
     return Polynomial({lead: Fraction(1), tail: Fraction(-1)})
+
+
+@pytest.fixture
+def s_pairs(monkeypatch):
+    """Every S-polynomial formed, as its (f, g) arguments in call order."""
+    formed = []
+    real = gbei.poly.s_polynomial
+
+    def counting(f, g):
+        formed.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(gbei.poly, "s_polynomial", counting)
+    return formed
 
 
 class TestOrder:
@@ -209,18 +223,6 @@ class TestPairCriteria:
     formed.  A criterion that pruned differently would still reach the same
     reduced basis, so the number formed is pinned on fixed inputs."""
 
-    @pytest.fixture
-    def s_pairs(self, monkeypatch):
-        formed = []
-        real = gbei.poly.s_polynomial
-
-        def counting(f, g):
-            formed.append((f, g))
-            return real(f, g)
-
-        monkeypatch.setattr(gbei.poly, "s_polynomial", counting)
-        return formed
-
     def test_buchberger_on_k4_with_three_rows(self, s_pairs):
         gb = buchberger(gbei_generators(K4, 3).generators)
         assert len(gb) == 18
@@ -232,6 +234,81 @@ class TestPairCriteria:
         assert is_groebner_basis(basis)
         assert len(basis) == 18
         assert len(s_pairs) == 52
+
+
+def reference_buchberger(gens) -> tuple[Polynomial, ...]:
+    """Reference: the Buchberger loop that picks each pair with a `min`
+    over every pending pair, recomputing each pending pair's lcm per round.
+    It uses the same criteria and helpers as `buchberger`."""
+    basis = [f.monic() for f in gens if f]
+    if not basis:
+        return ()
+    leads = [g.leading_monomial() for g in basis]
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    done: set[tuple[int, int]] = set()
+
+    def pair_key(p):
+        i, j = p
+        l = leads[i].lcm(leads[j])
+        return (l.degree, l, i, j)
+
+    while pairs:
+        i, j = min(pairs, key=pair_key)
+        pairs.discard((i, j))
+        done.add((i, j))
+        if gbei.poly._skip_pair(leads, i, j, done):
+            continue
+        h = normal_form(gbei.poly.s_polynomial(basis[i], basis[j]), basis)
+        if h:
+            h = h.monic()
+            basis.append(h)
+            leads.append(h.leading_monomial())
+            t = len(basis) - 1
+            pairs.update((k, t) for k in range(t))
+    return gbei.poly._interreduce(basis)
+
+
+class TestPairQueue:
+    """The heap pops the pairs in the order of the `min`-based reference, so
+    the same S-polynomials are formed in the same order."""
+
+    @pytest.mark.parametrize("rows", [3, 4])
+    def test_same_s_pairs_in_the_same_order_on_k4(self, s_pairs, rows):
+        gens = gbei_generators(K4, rows).generators
+        want = reference_buchberger(gens)
+        reference = list(s_pairs)
+        s_pairs.clear()
+        assert buchberger(gens) == want
+        assert s_pairs == reference
+        assert reference
+
+    def test_same_s_pairs_in_the_same_order_on_an_elimination_ideal(self, s_pairs, monkeypatch):
+        primes = minimal_primes(STAR, 2)
+        a, b = primes[0].ideal, primes[1].ideal
+        with monkeypatch.context() as patch:
+            patch.setattr(gbei.poly, "buchberger", reference_buchberger)
+            want = intersect(a, b).groebner()
+        reference = list(s_pairs)
+        s_pairs.clear()
+        assert intersect(a, b).groebner() == want
+        assert s_pairs == reference
+        assert any(ELIM in mono.support for f, _ in reference for mono in f.terms)
+
+    def test_each_pair_lcm_is_computed_once(self, monkeypatch):
+        # the min-based reference makes 199,101 lcm calls here; keying each
+        # pair once at creation leaves about one per pair plus the S-pairs
+        calls = [0]
+        real = Monomial.lcm
+
+        def counting(self, other):
+            calls[0] += 1
+            return real(self, other)
+
+        gens = gbei_generators(K4, 4).generators
+        monkeypatch.setattr(Monomial, "lcm", counting)
+        gb = buchberger(gens)
+        assert len(gb) == 36
+        assert calls[0] <= 2000
 
 
 class TestIdealOps:
