@@ -112,7 +112,7 @@ def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, la
     checks = []
     nvars = rows * g.n
 
-    # one closed-form basis feeds both the oracle and the Buchberger cross-check
+    # the closed form, checked equal to the engine's basis, feeds the oracle and the cross-check
     closed = None
     with _lap(laps, "basis"):
         try:

@@ -1,6 +1,6 @@
 """One analysis per (graph, rows): every report computes the cut-set census,
 the closed-form basis and the engine basis once and shares them among its
-consumers."""
+consumers.  The closed form is validated against that same engine basis."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import pytest
 import gbei.graphs
 import gbei.ideals
 import gbei.poly
+import gbei.report
 from gbei.report import corpus_report, invariants_report, verify_report
 
 from conftest import C4, FAN, P3, graph_of
@@ -22,7 +23,10 @@ P3_PLUS_K2 = graph_of(5, (1, 2), (2, 3), (4, 5))
 
 @pytest.fixture
 def calls(monkeypatch) -> Counter:
-    """Counts of the exhaustive census kernel and of the closed-form basis."""
+    """Counts of the exhaustive census kernel, of the closed-form basis and
+    of the Buchberger runs.  Besides the engine basis of the ideal, the
+    prime check runs Buchberger inside each `intersect`, and once on the
+    prime of a graph that has only one."""
     tally: Counter = Counter()
 
     def count(module, name):
@@ -35,7 +39,9 @@ def calls(monkeypatch) -> Counter:
         monkeypatch.setattr(module, name, counted)
 
     count(gbei.graphs, "_census_masks")
-    count(gbei.ideals, "rauh_basis")
+    count(gbei.ideals, "_closed_form_basis")
+    count(gbei.poly, "buchberger")
+    count(gbei.report, "intersect")
     return tally
 
 
@@ -45,11 +51,20 @@ def test_one_census_per_invariants_report(calls, g):
     assert calls == Counter({"_census_masks": 1})
 
 
-@pytest.mark.parametrize("g", [P3, FAN], ids=["P3", "FAN"])
-def test_one_census_and_one_basis_per_verify_report(calls, g):
+# P3 x 2 has 6 variables, so its two primes are intersected; FAN x 2 has
+# 10, past the default prime-check limit of 8
+@pytest.mark.parametrize("g, intersections", [(P3, 1), (FAN, 0)], ids=["P3", "FAN"])
+def test_one_census_and_one_basis_per_verify_report(calls, g, intersections):
+    """The closed form and its validation share one engine run with the
+    Groebner cross-check."""
     report = verify_report(g, 2)
     assert "oracle" in report["verification"]
-    assert calls == Counter({"_census_masks": 1, "rauh_basis": 1})
+    assert calls == Counter({
+        "_census_masks": 1,
+        "_closed_form_basis": 1,
+        "buchberger": 1 + intersections,
+        "intersect": intersections,
+    })
 
 
 def test_disconnected_graph_adds_one_census_per_component(calls):
@@ -57,7 +72,7 @@ def test_disconnected_graph_adds_one_census_per_component(calls):
     assert calls == Counter({"_census_masks": 1 + 2})
     calls.clear()
     verify_report(P3_PLUS_K2, 2)
-    assert calls == Counter({"_census_masks": 1 + 2, "rauh_basis": 1})
+    assert calls == Counter({"_census_masks": 1 + 2, "_closed_form_basis": 1, "buchberger": 1})
 
 
 @pytest.mark.parametrize("verify", [False, True])
@@ -65,7 +80,16 @@ def test_one_census_per_corpus_row(calls, verify):
     report = corpus_report(4, 2, "gblock", verify)
     graphs = report["summary"]["graphs"]
     assert calls["_census_masks"] == graphs
-    assert calls["rauh_basis"] == (graphs if verify else 0)
+    assert calls["_closed_form_basis"] == (graphs if verify else 0)
+    if verify:
+        lone_primes = sum(
+            check["detail"] == "intersection of 1 primes"
+            for row in report["rows"]
+            for check in row["verification"]["checks"]
+        )
+        assert calls["buchberger"] == graphs + calls["intersect"] + lone_primes
+    else:
+        assert calls["buchberger"] == 0
 
 
 @pytest.fixture

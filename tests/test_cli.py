@@ -25,9 +25,9 @@ from gbei.report import (
 from gbei.graphs import Graph, SizeCap, cut_set_census, enumerate_connected_graphs
 from gbei.homology import SimplicialComplex, hochster_betti, reduced_homology_ranks
 from gbei.ideals import Analysis, admissible_paths, minor
-from gbei.poly import VarGrid
+from gbei.poly import Polynomial, VarGrid
 
-from conftest import C4, FAN, P5
+from conftest import C4, FAN, P3, P5
 
 P5_TEXT = "5\n1 2\n2 3\n3 4\n4 5\n"
 FAN_TEXT = "5\n1 2\n1 3\n2 3\n1 4\n2 4\n1 5\n2 5\n"
@@ -261,7 +261,8 @@ class TestVerify:
         assert code == 3
 
     def test_failed_basis_self_check_is_a_failure_not_a_crash(self, capsys, graph_file, monkeypatch):
-        monkeypatch.setattr("gbei.ideals.is_groebner_basis", lambda basis: False)
+        # an empty closed form cannot equal the engine's reduced basis
+        monkeypatch.setattr("gbei.ideals._closed_form_basis", lambda g, rows: ())
         path = graph_file("p3.txt", "3\n1 2\n2 3\n")
         code, out, err = run(capsys, "verify", "--graph", path, "--rows", "2", "--json")
         assert code == 1 and err == ""
@@ -273,6 +274,27 @@ class TestVerify:
         assert checks["depth-vs-oracle"] == checks["regularity-vs-oracle"] == skipped
         assert checks["prime-intersection"][0] == "pass"
         assert "oracle" not in ver
+
+    def test_closed_form_outside_the_ideal_fails_the_cross_check(self, monkeypatch):
+        """Flipping every tail sign keeps the closed form reduced, Groebner
+        and with the engine's leads, but moves it out of the ideal: only a
+        comparison with the engine's reduced basis sees it."""
+        real = gbei.ideals._basis_element
+
+        def flipped(am):
+            f = real(am)
+            lead = f.leading_monomial()
+            return Polynomial({m: c if m == lead else -c for m, c in f.terms.items()})
+
+        monkeypatch.setattr(gbei.ideals, "_basis_element", flipped)
+        checks = {c["name"]: c["status"] for c in verify_report(P3, 2)["verification"]["checks"]}
+        assert checks == {
+            "depth-vs-oracle": "skipped",
+            "regularity-vs-oracle": "skipped",
+            "groebner-cross-check": "fail",
+            "squarefree-initial": "fail",
+            "prime-intersection": "pass",
+        }
 
     def test_json_matches_text_numbers(self, capsys, graph_file):
         path = graph_file("fan.txt", FAN_TEXT)

@@ -5,6 +5,7 @@ import pytest
 from gbei.graphs import Graph, enumerate_connected_graphs
 from gbei.ideals import (
     AdmissiblePath,
+    _closed_form_basis,
     admissible_paths,
     antitone_maps,
     depth_formula,
@@ -25,6 +26,8 @@ from gbei.poly import (
     buchberger,
     ideal_equal,
     intersect,
+    is_groebner_basis,
+    is_reduced_basis,
     monomial_ideal_equal,
 )
 
@@ -157,6 +160,14 @@ class TestRauhBasis:
             closed = rauh_basis(g, rows)
             engine = buchberger(gbei_generators(g, rows).generators)
             assert tuple(closed.groebner()) == engine, (g, rows)
+
+    def test_closed_form_passes_the_buchberger_criterion(self):
+        """An independent route to the same fact: every S-polynomial of the
+        closed form reduces to zero against it, and it is reduced."""
+        for g, rows in ((P3, 2), (CHERRY, 3), (C4, 2), (K3, 3), (STAR, 2)):
+            closed = _closed_form_basis(g, rows)
+            assert is_groebner_basis(closed), (g, rows)
+            assert is_reduced_basis(closed), (g, rows)
 
     def test_basis_elements_carry_interior_variables(self):
         basis = rauh_basis(CHERRY, 2).groebner()

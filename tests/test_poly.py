@@ -230,7 +230,7 @@ class TestPairCriteria:
 
     def test_groebner_check_on_the_k4_basis_with_three_rows(self, s_pairs):
         basis = rauh_basis(K4, 3).groebner()
-        s_pairs.clear()  # rauh_basis has run the same check on its result
+        s_pairs.clear()  # those of the engine run rauh_basis compared its result with
         assert is_groebner_basis(basis)
         assert len(basis) == 18
         assert len(s_pairs) == 52
