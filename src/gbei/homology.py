@@ -19,18 +19,26 @@ and no external algebra system.  It shares nothing with the closed-form
 formulas or the Groebner engine beyond the monomial type and the SizeCap
 error, which is what makes it a genuine cross-check.
 
-Two exactness-preserving shortcuts keep the subset iteration affordable.
 A subset with a vertex lying in no generator support inside it induces a
 cone, hence contributes nothing; the subsets that remain are exactly the
-unions of generator supports.  And when the generators inside a subset
-split into vertex-disjoint groups the restriction is a join, so its
-homology is the convolution of the groups' homology vectors (Kuenneth over
-a field), letting ranks be memoized per connected group.
+unions of generator supports.  These are visited smallest first, and each
+restriction is settled by the first of three exact rules, reading smaller
+restrictions from a memo kept for the one call (_restriction_vectors):
+
+- collapse: a vertex whose link is a cone (a dominated vertex, in the
+  sense of Barmak-Minian's strong collapses) is removed without changing
+  the homotopy type, so the restriction has the homology of a smaller one;
+- join: when the generators inside the subset split into vertex-disjoint
+  groups the restriction is a join, and its homology is the convolution of
+  the groups' (Kuenneth over a field);
+- otherwise the faces are enumerated and ranked over GF(2) with the
+  certificate above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb, gcd
 
 from .graphs import SizeCap
@@ -268,9 +276,8 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _split_groups(sigma: int, gens: tuple[int, ...]) -> list[int]:
-    """Vertex masks of the connected groups of the generators inside sigma."""
-    inside = [g for g in gens if g & sigma == g]
+def _split_groups(inside: tuple[int, ...]) -> list[int]:
+    """Vertex masks of the connected groups of the given generators."""
     groups: list[int] = []
     for g in inside:
         merged = g
@@ -285,37 +292,107 @@ def _split_groups(sigma: int, gens: tuple[int, ...]) -> list[int]:
     return sorted(groups)
 
 
-class _RestrictionOracle:
-    """Memoizing evaluator of reduced homology of restrictions of one fixed
-    Stanley-Reisner complex."""
+def _dominated_vertex(sigma: int, inside: tuple[int, ...]) -> int:
+    """The bit of a dominated vertex v of sigma, or 0 when there is none.
+    `inside` lists the minimal nonfaces contained in sigma, and D is the
+    restriction to sigma.
 
-    def __init__(self, gens: tuple[int, ...]):
-        self.gens = gens
-        self._cache: dict[int, tuple[int, ...]] = {}
+    v is dominated by w != v in sigma when every nonface N containing w
+    misses v and (N - w) + v contains a nonface.  If v is a vertex of D,
+    this says that its link L = {F : F + v in D} is a cone with apex w:
 
-    def group_vector(self, gmask: int) -> tuple[int, ...]:
-        vec = self._cache.get(gmask)
-        if vec is None:
-            inside = tuple(g for g in self.gens if g & gmask == g)
-            vertices = tuple(v for v in range(gmask.bit_length()) if gmask >> v & 1)
-            vec = _homology_vector(vertices, inside)
-            self._cache[gmask] = vec
-        return vec
+    - if it holds, take F in L with F + w outside L.  Some N inside F + v +
+      w contains w, since F + v is a face; then (N - w) + v lies inside the
+      face F + v and yet contains a nonface.  So no such F exists, and with
+      F empty w is a vertex of L;
+    - if it fails for N, then F = N - w - v lies in L (F + v is N - w
+      when v is in N, and (N - w) + v otherwise, a face either way),
+      while F + w + v contains N, so F + w is not in L.
 
-    def restriction_vector(self, sigma: int) -> tuple[int, ...]:
-        """Reduced homology ranks of the restriction to sigma, indexed by
-        dimension + 1.  Zero vector whenever the restriction is a cone."""
-        groups = _split_groups(sigma, self.gens)
-        covered = 0
-        for g in groups:
-            covered |= g
-        if covered != sigma:
-            # some vertex lies in no generator inside sigma: cone, no homology
-            return (0,) * (sigma.bit_count() + 1)
-        vec = (1,)
-        for g in groups:
-            vec = _convolve(vec, self.group_vector(g))
-        return vec
+    If v is no vertex of D ({v} is a nonface, a linear generator), the
+    condition holds for every w, and D is the restriction to sigma - v.
+
+    A nonface M inside (N - w) + v is not inside N - w, a proper part of
+    N, so M - (N - w) is exactly {v}.  Hence each N containing w allows
+    the single bits of M - (N - w) outside N, and the candidates v for
+    one w are narrowed by all such N at once, as bitmasks.
+    """
+    rest = sigma
+    while rest:
+        w = rest & -rest
+        rest ^= w
+        cand = sigma ^ w
+        for n in inside:
+            if not n & w:
+                continue
+            base = n ^ w
+            reach = 0
+            for m in inside:
+                extra = m & ~base
+                if not extra & (extra - 1):
+                    reach |= extra
+            cand &= reach & ~n
+            if not cand:
+                break
+        if cand:
+            return cand & -cand
+    return 0
+
+
+def _restriction_vectors(gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """Reduced homology ranks over Q of the restriction to sigma, indexed by
+    dimension + 1, for each union sigma of the given minimal nonfaces (the
+    other restrictions are cones); only nonzero vectors are kept.
+
+    The unions are visited by increasing size, and each is settled by the
+    first of three rules that applies, reading smaller unions from the dict:
+
+    - Collapse.  Some v in sigma is dominated (_dominated_vertex): either
+      v is no vertex of the restriction D, which then equals the
+      restriction to sigma - v, or its link L in D is a cone.  In the
+      second case D is the union of the restriction to sigma - v and the
+      star v * L, glued along L; the star and L are cones, hence
+      contractible, so by Mayer-Vietoris D has the reduced homology over Z,
+      and so the ranks over Q, of the restriction to sigma - v.  That
+      vector is read from the dict; if it is missing, either it is zero or
+      sigma - v is not a union of nonfaces, so that restriction is a cone
+      and the vector is zero anyway.
+    - Join.  The nonfaces inside sigma fall into more than one connected
+      group.  D is the join of the restrictions to the groups, each a
+      smaller union, and over a field the vector of a join is the
+      convolution of the factors' vectors (Kuenneth).
+    - Otherwise the faces are enumerated and ranked (_homology_vector).
+
+    The dict is the memo of this one call.
+    """
+    closure = set(gens)
+    frontier = list(gens)
+    while frontier:
+        fresh = []
+        for s in frontier:
+            for g in gens:
+                u = s | g
+                if u not in closure:
+                    closure.add(u)
+                    fresh.append(u)
+        frontier = fresh
+    vectors: dict[int, tuple[int, ...]] = {}
+    for sigma in sorted(closure, key=lambda s: (s.bit_count(), s)):
+        inside = tuple(g for g in gens if g & sigma == g)
+        v = _dominated_vertex(sigma, inside)
+        if v:
+            vec = vectors.get(sigma ^ v)
+        else:
+            groups = _split_groups(inside)
+            if len(groups) > 1:
+                parts = [vectors.get(grp) for grp in groups]
+                vec = None if None in parts else reduce(_convolve, parts)
+            else:
+                vertices = tuple(u for u in range(sigma.bit_length()) if sigma >> u & 1)
+                vec = _homology_vector(vertices, inside)
+        if vec and any(vec):
+            vectors[sigma] = vec
+    return vectors
 
 
 def reduced_homology_ranks(k: SimplicialComplex, restrict_to) -> list[int]:
@@ -330,9 +407,9 @@ def reduced_homology_ranks(k: SimplicialComplex, restrict_to) -> list[int]:
     sigma = 0
     for v in s:
         sigma |= 1 << v
-    gens = _prune_masks(k._nonface_masks()) if k.nonfaces else ()
-    oracle = _RestrictionOracle(tuple(gens))
-    vec = list(oracle.restriction_vector(sigma))
+    inside = tuple(g for g in _prune_masks(k._nonface_masks()) if g & sigma == g)
+    # the restriction to the empty set is the complex {empty face}
+    vec = list(_restriction_vectors(inside).get(sigma, ())) if sigma else [1]
     # pad: dimensions above the top face size have rank 0
     vec.extend(0 for _ in range(len(s) + 1 - len(vec)))
     return vec[: len(s) + 1]
@@ -391,31 +468,16 @@ class BettiTable:
 def hochster_betti(gens, grid: VarGrid) -> BettiTable:
     """Full bigraded Betti table of S/I for a squarefree monomial ideal.
 
-    Subsets are scanned in increasing cardinality; only unions of generator
-    supports are visited since every other restriction is a cone.
+    Only unions of generator supports are visited, since every other
+    restriction is a cone; see _restriction_vectors.
     """
     n = grid.size
     if n > MAX_ORACLE_VARS:
         raise SizeCap(f"{n} variables exceeds the oracle cap of {MAX_ORACLE_VARS}")
     masks = _prune_masks(_support_mask(m, grid) for m in gens) if gens else ()
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    if not masks:
-        return BettiTable(ambient=n, entries=entries)
-    closure = set(masks)
-    frontier = list(masks)
-    while frontier:
-        fresh = []
-        for s in frontier:
-            for g in masks:
-                u = s | g
-                if u not in closure:
-                    closure.add(u)
-                    fresh.append(u)
-        frontier = fresh
-    oracle = _RestrictionOracle(masks)
-    for sigma in sorted(closure, key=lambda s: (s.bit_count(), s)):
+    for sigma, vec in _restriction_vectors(masks).items():
         size = sigma.bit_count()
-        vec = oracle.restriction_vector(sigma)
         for k, r in enumerate(vec):
             if not r:
                 continue

@@ -324,13 +324,19 @@ def normal_form(f: Polynomial, basis: list[Polynomial] | tuple[Polynomial, ...])
     monomial.  The divisor tried first is always the earliest basis element,
     so the reduction path is deterministic for a fixed basis order.
     """
-    leads = [(g.leading_monomial(), g) for g in basis if g]
+    if type(basis) is _GrowingBasis:
+        return _reduce(f, basis.divisors)
+    return _reduce(f, [(g.leading_monomial(), g) for g in basis if g])
+
+
+def _reduce(f: Polynomial, divisors: list[tuple[Monomial, Polynomial]]) -> Polynomial:
+    """normal_form against (lead, element) pairs, tried in order."""
     work = dict(f.terms)
     rem: dict[Monomial, Fraction] = {}
     while work:
         m = max(work)
         c = work.pop(m)
-        for lm, g in leads:
+        for lm, g in divisors:
             if lm.divides(m):
                 # cancel c*m against the divisor's leading term
                 lmono, lc = g.leading()
@@ -349,6 +355,20 @@ def normal_form(f: Polynomial, basis: list[Polynomial] | tuple[Polynomial, ...])
         else:
             rem[m] = c
     return Polynomial(rem)
+
+
+class _GrowingBasis(list):
+    """The basis of a Buchberger run, which keeps the (lead, element) pair of
+    each element as it grows, so that normal_form need not rebuild them on
+    every reduction against it."""
+
+    def __init__(self, elements):
+        super().__init__(elements)
+        self.divisors = [(g.leading_monomial(), g) for g in self]
+
+    def append(self, g: Polynomial) -> None:
+        super().append(g)
+        self.divisors.append((g.leading_monomial(), g))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -403,10 +423,7 @@ def buchberger(gens) -> tuple[Polynomial, ...]:
     exactly the normal-selection order.  The result is the unique reduced
     basis, monic and sorted by decreasing leading monomial.
     """
-    basis: list[Polynomial] = []
-    for f in gens:
-        if f:
-            basis.append(f.monic())
+    basis = _GrowingBasis(f.monic() for f in gens if f)
     if not basis:
         return ()
 
@@ -500,8 +517,9 @@ def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    """Mathematical equality via uniqueness of the reduced Groebner basis."""
-    return set(a.groebner()) == set(b.groebner())
+    """Mathematical equality via uniqueness of the reduced Groebner basis;
+    two ideals on the same generators are equal without one."""
+    return a.generators == b.generators or set(a.groebner()) == set(b.groebner())
 
 
 def intersect(a: Ideal, b: Ideal) -> Ideal:

@@ -21,6 +21,10 @@ K4 = graph_of(4, (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 # three triangles glued along the common edge {1,2}
 FAN = graph_of(5, (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5))
 
+# the (vertices, rows) pairs whose full generalized-block corpus fits the
+# 12-variable oracle budget
+DEPTH_SWEEP = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3)]
+
 
 @pytest.fixture(scope="session")
 def betti_cache():

@@ -32,11 +32,7 @@ from gbei.ideals import (
 )
 from gbei.poly import VarGrid, buchberger, ideal_equal, intersect, monomial_ideal_equal
 
-from conftest import CHERRY, K2, K3, P3
-
-# the (vertices, rows) pairs whose full generalized-block corpus fits the
-# 12-variable oracle budget
-DEPTH_SWEEP = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3)]
+from conftest import CHERRY, DEPTH_SWEEP, K2, K3, P3
 
 
 def _key(g: Graph, rows: int):

@@ -25,8 +25,8 @@ P3_PLUS_K2 = graph_of(5, (1, 2), (2, 3), (4, 5))
 def calls(monkeypatch) -> Counter:
     """Counts of the exhaustive census kernel, of the closed-form basis and
     of the Buchberger runs.  Besides the engine basis of the ideal, the
-    prime check runs Buchberger inside each `intersect`, and once on the
-    prime of a graph that has only one."""
+    prime check runs Buchberger inside each `intersect` only: the one prime
+    of a complete graph has the ideal's own generators."""
     tally: Counter = Counter()
 
     def count(module, name):
@@ -87,7 +87,8 @@ def test_one_census_per_corpus_row(calls, verify):
             for row in report["rows"]
             for check in row["verification"]["checks"]
         )
-        assert calls["buchberger"] == graphs + calls["intersect"] + lone_primes
+        assert lone_primes == 1  # K4
+        assert calls["buchberger"] == graphs + calls["intersect"] == 81
     else:
         assert calls["buchberger"] == 0
 

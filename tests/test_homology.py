@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from gbei import homology
+from gbei.graphs import enumerate_connected_graphs
 from gbei.homology import (
     BettiTable,
     SimplicialComplex,
@@ -21,7 +22,9 @@ from gbei.homology import (
 from gbei.ideals import initial_ideal
 from gbei.poly import Monomial, VarGrid
 
-from conftest import CHERRY, FAN, K2, K3, P3
+from conftest import CHERRY, DEPTH_SWEEP, FAN, K2, K3, K4, P3, graph_of
+
+STAR6 = graph_of(6, (1, 2), (1, 3), (1, 4), (1, 5), (1, 6))
 
 
 def mono(*vars_) -> Monomial:
@@ -94,6 +97,44 @@ def brute_betti(gens, grid: VarGrid) -> dict[tuple[int, int], int]:
     return entries
 
 
+# ---------------------------------------------------------------------------
+# the oracle before the collapse rule: each union of generator supports is
+# the join of its connected groups, and the faces of every group are
+# enumerated and ranked, memoized per group
+
+def reference_hochster_betti(gens, grid: VarGrid) -> dict[tuple[int, int], int]:
+    masks = homology._prune_masks(homology._support_mask(m, grid) for m in gens)
+    closure = set(masks)
+    frontier = list(masks)
+    while frontier:
+        frontier = [u for u in {s | g for s in frontier for g in masks} if u not in closure]
+        closure.update(frontier)
+    group_vectors: dict[int, tuple[int, ...]] = {}
+    entries = {(0, 0): 1}
+    for sigma in sorted(closure, key=lambda s: (s.bit_count(), s)):
+        size = sigma.bit_count()
+        vec = (1,)
+        for grp in homology._split_groups(tuple(g for g in masks if g & sigma == g)):
+            if grp not in group_vectors:
+                vertices = tuple(v for v in range(grp.bit_length()) if grp >> v & 1)
+                inside = tuple(g for g in masks if g & grp == g)
+                group_vectors[grp] = homology._homology_vector(vertices, inside)
+            vec = homology._convolve(vec, group_vectors[grp])
+        for k, r in enumerate(vec):
+            if r:
+                entries[(size - k, size)] = entries.get((size - k, size), 0) + r
+    return entries
+
+
+@pytest.fixture
+def enumerated(monkeypatch) -> list[tuple[int, ...]]:
+    """The vertex tuple of each restriction whose faces are enumerated."""
+    runs = []
+    real = homology._faces_by_size
+    monkeypatch.setattr(homology, "_faces_by_size", lambda vertices, nonfaces: runs.append(vertices) or real(vertices, nonfaces))
+    return runs
+
+
 class TestStanleyReisner:
     def test_nonfaces_are_generator_supports(self):
         grid = VarGrid(2, 2)
@@ -146,6 +187,16 @@ class TestReducedHomology:
         got = reduced_homology_ranks(k, range(6))
         assert got == brute_reduced_homology(k, range(6))
         assert got[4] == 1  # a single 3-sphere class
+
+    def test_a_dominated_vertex_collapses(self, enumerated):
+        # the hollow triangle 012 with the triangle 013 filled in: the link
+        # of 3 is the edge 01, a cone, so the whole restriction is read off
+        # the one to 012, a circle
+        k = SimplicialComplex(4, (frozenset({0, 1, 2}), frozenset({2, 3})))
+        assert homology._dominated_vertex(0b1111, (0b0111, 0b1100)) == 0b1000
+        got = reduced_homology_ranks(k, range(4))
+        assert got == brute_reduced_homology(k, range(4)) == [0, 0, 1, 0, 0]
+        assert enumerated == [(2, 3), (0, 1, 2)]
 
     def test_matches_brute_force_on_every_restriction(self):
         grid = VarGrid(2, 3)
@@ -238,6 +289,39 @@ class TestBettiTables:
                 for _ in range(rng.randint(1, 5))
             ]
             assert hochster_betti(gens, grid).entries == brute_betti(gens, grid), gens
+
+    def test_matches_brute_force_hochster_with_linear_generators(self):
+        # a linear generator is a nonface {v}: v is no vertex of the complex
+        rng = random.Random(20173)
+        for _ in range(30):
+            grid = VarGrid(2, rng.randint(1, 3))
+            variables = grid.variables()
+            gens = [mono(rng.choice(variables))] + [
+                mono(*rng.sample(variables, rng.randint(1, min(4, grid.size))))
+                for _ in range(rng.randint(0, 5))
+            ]
+            assert hochster_betti(gens, grid).entries == brute_betti(gens, grid), gens
+
+    def test_matches_the_group_memo_oracle_on_the_depth_sweep(self):
+        cases = 0
+        for n, rows in DEPTH_SWEEP:
+            grid = VarGrid(rows, n)
+            for g in enumerate_connected_graphs(n, "gblock"):
+                gens = list(initial_ideal(g, rows))
+                assert hochster_betti(gens, grid).entries == reference_hochster_betti(gens, grid), (g.sorted_edges(), rows)
+                cases += 1
+        assert cases == 501
+
+    # the group-memo oracle enumerates faces 453 times on the star and 626
+    # times on K4
+    @pytest.mark.parametrize("g, rows, most", [(STAR6, 2, 50), (K4, 3, 60)], ids=["star6x2", "K4x3"])
+    def test_collapses_spare_most_face_enumerations(self, enumerated, g, rows, most):
+        grid = VarGrid(rows, g.n)
+        gens = list(initial_ideal(g, rows))
+        want = reference_hochster_betti(gens, grid)
+        enumerated.clear()
+        assert hochster_betti(gens, grid).entries == want
+        assert 0 < len(enumerated) <= most
 
     def test_first_column_counts_generators_by_degree(self):
         for g, rows in ((P3, 2), (FAN, 2), (K3, 3), (CHERRY, 3)):

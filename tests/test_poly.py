@@ -323,6 +323,11 @@ class TestIdealOps:
         assert ideal_equal(a, b)
         assert not ideal_equal(a, Ideal([var(1, 1)]))
 
+    def test_equality_on_the_same_generators_needs_no_basis(self, monkeypatch):
+        gens = [minor2(1, 2, 1, 2), minor2(1, 2, 1, 3)]
+        monkeypatch.setattr(gbei.poly, "buchberger", None)
+        assert ideal_equal(Ideal(gens), Ideal(list(gens)))
+
     def test_intersection_of_principal_monomial_ideals_is_lcm(self):
         a = Ideal([var(1, 1) * var(1, 2)])
         b = Ideal([var(1, 2) * var(2, 1)])
