@@ -433,9 +433,11 @@ class Analysis:
         """See rauh_basis.  The closed form is built first, so a graph past
         the admissible-path cap never reaches the engine."""
         closed = _closed_form_basis(self.graph, self.rows)
-        if closed != self.ideal.groebner():
+        engine = self.ideal.groebner()
+        if closed != engine:
             raise BasisValidationError(
-                f"combinatorial basis is not the engine's for {self.graph!r} with {self.rows} rows"
+                f"combinatorial basis ({len(closed)} elements) is not the engine's ({len(engine)} elements) "
+                f"for {self.graph!r} with {self.rows} rows"
             )
         return self.ideal
 

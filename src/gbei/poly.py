@@ -14,6 +14,28 @@ elimination variable ranked above the whole grid; it gets the reserved key
 Coefficients are fractions.Fraction throughout.  Nothing here is randomized
 and every operation returns results in a deterministic order, so Groebner
 bases can be compared verbatim and frozen into golden tests.
+
+Monomial and Polynomial are the types at the edges.  The Buchberger
+kernel (buchberger, normal_form, s_polynomial, is_groebner_basis) packs
+the monomials of its arguments into plain ints on entry and decodes its
+result once, on exit.  Each variable the arguments use gets a field of
+_FIELD_BITS bits, and the most significant variable the most significant
+field.  An exponent never reaches the top bit of its field, the guard
+bit, so comparing two packed monomials as ints compares their exponents
+variable by variable from the most significant one down: int order is
+exactly the lex order above.  With G the mask of every guard bit, L the
+lowest bit of every field and W the field width, no operation carries or
+borrows across a field boundary:
+
+    product     a + b; a guard bit set in the sum means an exponent
+                outgrew its field, which raises SizeCap rather than wrap
+    quotient    a - b, when b divides a
+    divides     b is a multiple of a exactly when ((b | G) - a) & G == G
+    lcm         t = ((a | G) - b) & G marks the fields where a's exponent
+                is at least b's, sel = t - (t >> (W - 1)) fills those
+                fields below their guard bits, lcm = (a & sel) | (b & ~sel)
+    coprime     ((x | G) - L) & G marks the nonzero fields of x; a and b
+                are coprime when their marks share no bit
 """
 
 from __future__ import annotations
@@ -21,6 +43,8 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+
+from .graphs import SizeCap
 
 Var = tuple[int, int]
 
@@ -317,6 +341,169 @@ class Polynomial:
         return self.render()
 
 
+# ---------------------------------------------------------------------------
+# the Buchberger kernel, on packed monomials
+
+# bits per exponent field of a packed monomial, the guard bit included
+_FIELD_BITS = 16
+
+
+class _Packing:
+    """The packed layout of one kernel call: every variable its inputs use
+    gets a fixed-width field of one int (see the module docstring)."""
+
+    __slots__ = ("shifts", "width", "limit", "low", "guard")
+
+    def __init__(self, polys):
+        variables = sorted({v for f in polys for m in f.terms for v, _ in m.exps})
+        self.width = width = _FIELD_BITS
+        # the most significant variable takes the most significant field
+        self.shifts = {v: (len(variables) - 1 - r) * width for r, v in enumerate(variables)}
+        self.limit = (1 << (width - 1)) - 1  # the largest exponent below the guard bit
+        self.low = sum(1 << s for s in self.shifts.values())
+        self.guard = self.low << (width - 1)
+
+    def cap(self) -> SizeCap:
+        return SizeCap(f"an exponent exceeds the packed-monomial limit of {self.limit}")
+
+    def key(self, m: Monomial) -> int:
+        key = 0
+        for v, e in m.exps:
+            if e > self.limit:
+                raise self.cap()
+            key |= e << self.shifts[v]
+        return key
+
+    def monomial(self, key: int) -> Monomial:
+        limit = self.limit
+        return Monomial(tuple((v, e) for v, s in self.shifts.items() if (e := key >> s & limit)))
+
+    def pack(self, f: Polynomial) -> dict[int, Fraction]:
+        return {self.key(m): c for m, c in f.terms.items()}
+
+    def polynomial(self, terms: dict[int, Fraction]) -> Polynomial:
+        return Polynomial({self.monomial(k): terms[k] for k in sorted(terms, reverse=True)})
+
+    def element(self, divisor) -> Polynomial:
+        """The monic polynomial of a (lead, tail) divisor."""
+        lead, tail = divisor
+        return self.polynomial({lead: Fraction(1), **dict(tail)})
+
+    def product(self, a: int, b: int) -> int:
+        p = a + b
+        if p & self.guard:
+            raise self.cap()
+        return p
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether monomial a divides monomial b."""
+        g = self.guard
+        return ((b | g) - a) & g == g
+
+    def lcm(self, a: int, b: int) -> int:
+        t = ((a | self.guard) - b) & self.guard  # the guard bits of the fields where a >= b
+        sel = t - (t >> (self.width - 1))  # the exponent bits of those fields
+        return (a & sel) | (b & ~sel)
+
+    def coprime(self, a: int, b: int) -> bool:
+        g, low = self.guard, self.low
+        # ((x | g) - low) & g holds the guard bits of the nonzero fields of x
+        return not ((a | g) - low) & ((b | g) - low) & g
+
+    def degree(self, key: int) -> int:
+        total = 0
+        while key:
+            total += key & self.limit
+            key >>= self.width
+        return total
+
+
+def _divisor(terms: dict[int, Fraction]) -> tuple[int, tuple[tuple[int, Fraction], ...]]:
+    """A nonzero packed polynomial made monic, as its (lead, tail) pair."""
+    lead = max(terms)
+    lc = terms[lead]
+    return lead, tuple((m, c / lc) for m, c in terms.items() if m != lead)
+
+
+def _reduce(packing: _Packing, work: dict[int, Fraction], divisors) -> dict[int, Fraction]:
+    """Remainder of the packed polynomial `work`, which is consumed, on
+    division by monic (lead, tail) divisors.  The largest remaining term
+    is taken first and cancelled with the first divisor whose lead divides
+    it, so the reduction path is deterministic for a fixed divisor order."""
+    guard = packing.guard
+    rem: dict[int, Fraction] = {}
+    while work:
+        m = max(work)
+        c = work.pop(m)
+        top = m | guard
+        for lead, tail in divisors:
+            if (top - lead) & guard == guard:  # packing.divides(lead, m), inlined
+                shift = m - lead
+                for t, tc in tail:
+                    key = t + shift  # packing.product(t, shift), inlined
+                    if key & guard:
+                        raise packing.cap()
+                    s = work.get(key, 0) - c * tc
+                    if s:
+                        work[key] = s
+                    else:
+                        del work[key]
+                break
+        else:
+            rem[m] = c
+    return rem
+
+
+def _s_pair(packing: _Packing, f, g, l: int) -> dict[int, Fraction]:
+    """S-polynomial of the monic divisors f and g whose leads have lcm l;
+    the two lead terms cancel, so they are never formed."""
+    (lf, tf), (lg, tg) = f, g
+    work = {packing.product(t, l - lf): c for t, c in tf}
+    for t, c in tg:
+        key = packing.product(t, l - lg)
+        s = work.get(key, 0) - c
+        if s:
+            work[key] = s
+        else:
+            del work[key]
+    return work
+
+
+def _skip_pair(packing: _Packing, leads: list[int], i: int, j: int, l: int, done: set[tuple[int, int]]) -> bool:
+    """Whether the S-pair (i, j), i < j, whose leads have lcm l, may be
+    dropped: its leads are coprime, or (chain criterion, Gebauer-Moeller
+    1988) some other lead divides l and both of its pairs with i and j
+    are in `done`."""
+    if packing.coprime(leads[i], leads[j]):
+        return True
+    guard = packing.guard
+    top = l | guard
+    for k, lk in enumerate(leads):
+        if (top - lk) & guard == guard and k != i and k != j:  # packing.divides(lk, l), inlined
+            if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
+                return True
+    return False
+
+
+def _interreduce(packing: _Packing, basis: list) -> list:
+    """Turn a Groebner basis of monic divisors into the reduced Groebner
+    basis, by decreasing lead."""
+    # drop elements whose lead is divisible by another retained lead;
+    # ascending sort means any proper divisor was seen first
+    kept: list = []
+    for d in sorted(basis, key=lambda d: d[0]):
+        if not any(packing.divides(k, d[0]) for k, _ in kept):
+            kept.append(d)
+    # tail-reduce each element against all the others; no tail term is
+    # divisible by its own lead, and the lead by no other lead
+    reduced = [
+        (lead, tuple(_reduce(packing, dict(tail), kept[:i] + kept[i + 1 :]).items()))
+        for i, (lead, tail) in enumerate(kept)
+    ]
+    reduced.sort(key=lambda d: d[0], reverse=True)
+    return reduced
+
+
 def normal_form(f: Polynomial, basis: list[Polynomial] | tuple[Polynomial, ...]) -> Polynomial:
     """Remainder of multivariate division of f by the given basis.
 
@@ -324,93 +511,15 @@ def normal_form(f: Polynomial, basis: list[Polynomial] | tuple[Polynomial, ...])
     monomial.  The divisor tried first is always the earliest basis element,
     so the reduction path is deterministic for a fixed basis order.
     """
-    if type(basis) is _GrowingBasis:
-        return _reduce(f, basis.divisors)
-    return _reduce(f, [(g.leading_monomial(), g) for g in basis if g])
-
-
-def _reduce(f: Polynomial, divisors: list[tuple[Monomial, Polynomial]]) -> Polynomial:
-    """normal_form against (lead, element) pairs, tried in order."""
-    work = dict(f.terms)
-    rem: dict[Monomial, Fraction] = {}
-    while work:
-        m = max(work)
-        c = work.pop(m)
-        for lm, g in divisors:
-            if lm.divides(m):
-                # cancel c*m against the divisor's leading term
-                lmono, lc = g.leading()
-                factor = m / lm
-                scale = c / lc
-                for gm, gc in g.terms.items():
-                    if gm == lmono:
-                        continue
-                    key = gm * factor
-                    s = work.get(key, 0) - gc * scale
-                    if s:
-                        work[key] = s
-                    else:
-                        work.pop(key, None)
-                break
-        else:
-            rem[m] = c
-    return Polynomial(rem)
-
-
-class _GrowingBasis(list):
-    """The basis of a Buchberger run, which keeps the (lead, element) pair of
-    each element as it grows, so that normal_form need not rebuild them on
-    every reduction against it."""
-
-    def __init__(self, elements):
-        super().__init__(elements)
-        self.divisors = [(g.leading_monomial(), g) for g in self]
-
-    def append(self, g: Polynomial) -> None:
-        super().append(g)
-        self.divisors.append((g.leading_monomial(), g))
+    basis = [g for g in basis if g]
+    packing = _Packing([f, *basis])
+    return packing.polynomial(_reduce(packing, packing.pack(f), [_divisor(packing.pack(g)) for g in basis]))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    lf, cf = f.leading()
-    lg, cg = g.leading()
-    l = lf.lcm(lg)
-    return f.scaled(Fraction(1) / cf, l / lf) - g.scaled(Fraction(1) / cg, l / lg)
-
-
-def _interreduce(basis: list[Polynomial]) -> tuple[Polynomial, ...]:
-    """Turn a Groebner basis into the reduced Groebner basis."""
-    monic = [g.monic() for g in basis if g]
-    # drop elements whose lead is divisible by another retained lead;
-    # ascending sort means any proper divisor was seen first
-    monic.sort(key=lambda g: g.leading_monomial())
-    kept: list[Polynomial] = []
-    for g in monic:
-        lm = g.leading_monomial()
-        if not any(h.leading_monomial().divides(lm) for h in kept):
-            kept.append(g)
-    # tail-reduce each element against all the others; leads are untouched
-    reduced = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        reduced.append(normal_form(g, others).monic())
-    reduced.sort(key=lambda g: g.leading_monomial(), reverse=True)
-    return tuple(reduced)
-
-
-def _skip_pair(leads: list[Monomial], i: int, j: int, done: set[tuple[int, int]]) -> bool:
-    """Whether the S-pair (i, j), i < j, may be dropped: its leads are
-    coprime, or (chain criterion, Gebauer-Moeller 1988) some other lead
-    divides their lcm and both of its pairs with i and j are in `done`."""
-    if leads[i].coprime(leads[j]):
-        return True
-    l = leads[i].lcm(leads[j])
-    for k, lk in enumerate(leads):
-        if k in (i, j) or not lk.divides(l):
-            continue
-        if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
-            return True
-    return False
+    packing = _Packing((f, g))
+    a, b = _divisor(packing.pack(f)), _divisor(packing.pack(g))
+    return packing.polynomial(_s_pair(packing, a, b, packing.lcm(a[0], b[0])))
 
 
 def buchberger(gens) -> tuple[Polynomial, ...]:
@@ -420,36 +529,37 @@ def buchberger(gens) -> tuple[Polynomial, ...]:
     the smallest lcm first) plus the coprimality and chain criteria.  The
     pair queue is a heap keyed once per pair, when the pair is created, on
     (lcm degree, lcm, i, j); the keys are unique, so pairs are popped in
-    exactly the normal-selection order.  The result is the unique reduced
-    basis, monic and sorted by decreasing leading monomial.
+    exactly the normal-selection order.  The loop runs on packed monomials
+    and decodes the result once.  The result is the unique reduced basis,
+    monic and sorted by decreasing leading monomial.
     """
-    basis = _GrowingBasis(f.monic() for f in gens if f)
-    if not basis:
+    polys = [f for f in gens if f]
+    if not polys:
         return ()
-
-    leads = [g.leading_monomial() for g in basis]
+    packing = _Packing(polys)
+    basis = [_divisor(packing.pack(f)) for f in polys]
+    leads = [lead for lead, _ in basis]
     done: set[tuple[int, int]] = set()
 
     def pair_key(i, j):
-        l = leads[i].lcm(leads[j])
-        return (l.degree, l, i, j)
+        l = packing.lcm(leads[i], leads[j])
+        return (packing.degree(l), l, i, j)
 
     pairs = [pair_key(i, j) for j in range(len(basis)) for i in range(j)]
     heapify(pairs)
     while pairs:
-        _, _, i, j = heappop(pairs)
+        _, l, i, j = heappop(pairs)
         done.add((i, j))
-        if _skip_pair(leads, i, j, done):
+        if _skip_pair(packing, leads, i, j, l, done):
             continue
-        h = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        h = _reduce(packing, _s_pair(packing, basis[i], basis[j], l), basis)
         if h:
-            h = h.monic()
-            basis.append(h)
-            leads.append(h.leading_monomial())
+            basis.append(_divisor(h))
+            leads.append(basis[-1][0])
             t = len(basis) - 1
             for k in range(t):
                 heappush(pairs, pair_key(k, t))
-    return _interreduce(basis)
+    return tuple(packing.element(d) for d in _interreduce(packing, basis))
 
 
 def is_groebner_basis(basis) -> bool:
@@ -458,13 +568,18 @@ def is_groebner_basis(basis) -> bool:
     Pairs dismissed by the coprimality or chain criterion are skipped, which
     never changes the verdict.
     """
-    basis = [g for g in basis if g]
-    leads = [g.leading_monomial() for g in basis]
+    polys = [g for g in basis if g]
+    packing = _Packing(polys)
+    divisors = [_divisor(packing.pack(g)) for g in polys]
+    leads = [lead for lead, _ in divisors]
     done: set[tuple[int, int]] = set()
-    for j in range(len(basis)):
+    for j in range(len(divisors)):
         for i in range(j):
             done.add((i, j))
-            if not _skip_pair(leads, i, j, done) and normal_form(s_polynomial(basis[i], basis[j]), basis):
+            l = packing.lcm(leads[i], leads[j])
+            if not _skip_pair(packing, leads, i, j, l, done) and _reduce(
+                packing, _s_pair(packing, divisors[i], divisors[j], l), divisors
+            ):
                 return False
     return True
 

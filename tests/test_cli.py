@@ -170,7 +170,7 @@ class TestVerify:
         assert code == 0
         assert "depth-vs-oracle: pass (oracle 5, formula 5)" in out
         assert "regularity-vs-oracle: pass (oracle 2 <= bound 4)" in out
-        assert "groebner-cross-check: pass (13 closed-form generators vs 13 engine leads)" in out
+        assert "groebner-cross-check: pass (closed form equals the engine's reduced basis: 13 vs 13 elements)" in out
         assert "squarefree-initial: pass (all engine lead monomials squarefree)" in out
         assert (
             "prime-intersection: skipped (skipped: 10 variables > 8 "
@@ -269,6 +269,7 @@ class TestVerify:
         ver = json.loads(out)["verification"]
         checks = {c["name"]: (c["status"], c["detail"]) for c in ver["checks"]}
         assert checks["groebner-cross-check"][0] == "fail"
+        assert "basis (0 elements) is not the engine's (2 elements)" in checks["groebner-cross-check"][1]
         assert checks["squarefree-initial"] == ("fail", "basis construction failed")
         skipped = ("skipped", "skipped: basis construction failed")
         assert checks["depth-vs-oracle"] == checks["regularity-vs-oracle"] == skipped
@@ -295,6 +296,16 @@ class TestVerify:
             "squarefree-initial": "fail",
             "prime-intersection": "pass",
         }
+
+    def test_a_non_squarefree_initial_ideal_fails_only_its_own_check(self, monkeypatch):
+        monkeypatch.setattr(gbei.poly.Monomial, "is_squarefree", lambda self: False)
+        ver = verify_report(P3, 2)["verification"]
+        checks = {c["name"]: (c["status"], c["detail"]) for c in ver["checks"]}
+        assert checks["groebner-cross-check"] == ("pass", "closed form equals the engine's reduced basis: 2 vs 2 elements")
+        assert checks["squarefree-initial"][0] == "fail"
+        assert "is not squarefree" in checks["squarefree-initial"][1]
+        skipped = ("skipped", "skipped: initial ideal not squarefree")
+        assert checks["depth-vs-oracle"] == checks["regularity-vs-oracle"] == skipped
 
     def test_json_matches_text_numbers(self, capsys, graph_file):
         path = graph_file("fan.txt", FAN_TEXT)
@@ -381,9 +392,14 @@ class TestRenderParity:
         for i, count in report["census"]["a"].items():
             assert f"a_{i}={count}" in text
 
-    def test_timings_are_integer_milliseconds(self):
+    def test_timings_are_milliseconds_to_the_microsecond(self):
         report = verify_report(Graph.from_edges(2, [(1, 2)]), 2)
-        assert all(isinstance(v, int) for v in report["timings"].values())
+        timings = report["timings"]
+        assert set(timings) == {"classify", "census", "formulas", "basis", "oracle", "primes"}
+        assert all(isinstance(v, float) and v >= 0 and round(v, 3) == v for v in timings.values())
+        # each lap here takes well under a millisecond, which whole milliseconds read as 0
+        assert all(v > 0 for v in timings.values())
+        assert re.search(r"^timings: basis=\d+\.\d{3}ms census=\d+\.\d{3}ms ", render_text(report), re.M)
 
 
 def test_console_script_smoke(tmp_path):

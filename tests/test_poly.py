@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gbei.poly
+from gbei.graphs import Graph, SizeCap
 from gbei.ideals import gbei_generators, minimal_primes, rauh_basis
 from gbei.poly import (
     ELIM,
@@ -45,17 +50,24 @@ def minor2(k, l, i, j) -> Polynomial:
     return Polynomial({lead: Fraction(1), tail: Fraction(-1)})
 
 
+def recording_s_pairs(formed: list):
+    """A stand-in for the kernel's per-S-pair function that appends each
+    pair it is given, decoded to its two monic elements, to `formed`."""
+    real = gbei.poly._s_pair
+
+    def recording(packing, f, g, l):
+        formed.append((packing.element(f), packing.element(g)))
+        return real(packing, f, g, l)
+
+    return recording
+
+
 @pytest.fixture
 def s_pairs(monkeypatch):
-    """Every S-polynomial formed, as its (f, g) arguments in call order."""
+    """Every S-polynomial the kernel forms, as its two monic elements, in
+    the order formed."""
     formed = []
-    real = gbei.poly.s_polynomial
-
-    def counting(f, g):
-        formed.append((f, g))
-        return real(f, g)
-
-    monkeypatch.setattr(gbei.poly, "s_polynomial", counting)
+    monkeypatch.setattr(gbei.poly, "_s_pair", recording_s_pairs(formed))
     return formed
 
 
@@ -236,10 +248,77 @@ class TestPairCriteria:
         assert len(s_pairs) == 52
 
 
-def reference_buchberger(gens) -> tuple[Polynomial, ...]:
+# The Buchberger loop on Monomial and Polynomial, as the engine ran before
+# it packed monomials into ints: the reference the packed kernel is
+# compared against, pair by pair.
+
+def reference_normal_form(f: Polynomial, basis) -> Polynomial:
+    """Remainder of f on division by `basis`: the largest remaining term
+    first, each cancelled with the earliest basis element whose lead
+    divides it."""
+    divisors = [(g.leading_monomial(), g) for g in basis if g]
+    work = dict(f.terms)
+    rem: dict[Monomial, Fraction] = {}
+    while work:
+        m = max(work)
+        c = work.pop(m)
+        for lm, g in divisors:
+            if lm.divides(m):
+                lmono, lc = g.leading()
+                factor = m / lm
+                scale = c / lc
+                for gm, gc in g.terms.items():
+                    if gm == lmono:
+                        continue
+                    key = gm * factor
+                    s = work.get(key, 0) - gc * scale
+                    if s:
+                        work[key] = s
+                    else:
+                        work.pop(key, None)
+                break
+        else:
+            rem[m] = c
+    return Polynomial(rem)
+
+
+def reference_s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    lf, cf = f.leading()
+    lg, cg = g.leading()
+    l = lf.lcm(lg)
+    return f.scaled(Fraction(1) / cf, l / lf) - g.scaled(Fraction(1) / cg, l / lg)
+
+
+def reference_skip_pair(leads: list[Monomial], i: int, j: int, done: set[tuple[int, int]]) -> bool:
+    """The coprimality criterion, then the chain criterion."""
+    if leads[i].coprime(leads[j]):
+        return True
+    l = leads[i].lcm(leads[j])
+    for k, lk in enumerate(leads):
+        if k in (i, j) or not lk.divides(l):
+            continue
+        if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
+            return True
+    return False
+
+
+def reference_interreduce(basis: list[Polynomial]) -> tuple[Polynomial, ...]:
+    monic = sorted((g.monic() for g in basis if g), key=lambda g: g.leading_monomial())
+    kept: list[Polynomial] = []
+    for g in monic:
+        lm = g.leading_monomial()
+        if not any(h.leading_monomial().divides(lm) for h in kept):
+            kept.append(g)
+    reduced = [reference_normal_form(g, kept[:i] + kept[i + 1 :]).monic() for i, g in enumerate(kept)]
+    reduced.sort(key=lambda g: g.leading_monomial(), reverse=True)
+    return tuple(reduced)
+
+
+def reference_buchberger(gens, formed: list | None = None) -> tuple[Polynomial, ...]:
     """Reference: the Buchberger loop that picks each pair with a `min`
-    over every pending pair, recomputing each pending pair's lcm per round.
-    It uses the same criteria and helpers as `buchberger`."""
+    over every pending pair, recomputing each pending pair's lcm per round,
+    with the same criteria on Monomial.  Each S-pair formed is appended to
+    `formed` as its two monic elements."""
     basis = [f.monic() for f in gens if f]
     if not basis:
         return ()
@@ -256,16 +335,18 @@ def reference_buchberger(gens) -> tuple[Polynomial, ...]:
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
         done.add((i, j))
-        if gbei.poly._skip_pair(leads, i, j, done):
+        if reference_skip_pair(leads, i, j, done):
             continue
-        h = normal_form(gbei.poly.s_polynomial(basis[i], basis[j]), basis)
+        if formed is not None:
+            formed.append((basis[i], basis[j]))
+        h = reference_normal_form(reference_s_polynomial(basis[i], basis[j]), basis)
         if h:
             h = h.monic()
             basis.append(h)
             leads.append(h.leading_monomial())
             t = len(basis) - 1
             pairs.update((k, t) for k in range(t))
-    return gbei.poly._interreduce(basis)
+    return reference_interreduce(basis)
 
 
 class TestPairQueue:
@@ -275,9 +356,8 @@ class TestPairQueue:
     @pytest.mark.parametrize("rows", [3, 4])
     def test_same_s_pairs_in_the_same_order_on_k4(self, s_pairs, rows):
         gens = gbei_generators(K4, rows).generators
-        want = reference_buchberger(gens)
-        reference = list(s_pairs)
-        s_pairs.clear()
+        reference = []
+        want = reference_buchberger(gens, reference)
         assert buchberger(gens) == want
         assert s_pairs == reference
         assert reference
@@ -285,30 +365,127 @@ class TestPairQueue:
     def test_same_s_pairs_in_the_same_order_on_an_elimination_ideal(self, s_pairs, monkeypatch):
         primes = minimal_primes(STAR, 2)
         a, b = primes[0].ideal, primes[1].ideal
+        reference = []
         with monkeypatch.context() as patch:
-            patch.setattr(gbei.poly, "buchberger", reference_buchberger)
+            patch.setattr(gbei.poly, "buchberger", partial(reference_buchberger, formed=reference))
             want = intersect(a, b).groebner()
-        reference = list(s_pairs)
-        s_pairs.clear()
         assert intersect(a, b).groebner() == want
         assert s_pairs == reference
         assert any(ELIM in mono.support for f, _ in reference for mono in f.terms)
 
     def test_each_pair_lcm_is_computed_once(self, monkeypatch):
-        # the min-based reference makes 199,101 lcm calls here; keying each
-        # pair once at creation leaves about one per pair plus the S-pairs
-        calls = [0]
-        real = Monomial.lcm
+        # the min-based reference makes 199,101 lcm calls here; the kernel
+        # computes each pair's lcm once, for its heap key, and hands it on
+        # to the criteria and the S-pair
+        seen = []
+        real = gbei.poly._Packing.lcm
 
-        def counting(self, other):
-            calls[0] += 1
-            return real(self, other)
+        def recording(self, a, b):
+            seen.append((a, b))
+            return real(self, a, b)
 
         gens = gbei_generators(K4, 4).generators
-        monkeypatch.setattr(Monomial, "lcm", counting)
+        monkeypatch.setattr(gbei.poly._Packing, "lcm", recording)
         gb = buchberger(gens)
         assert len(gb) == 36
-        assert calls[0] <= 2000
+        # one call per pair of the elements the run ever held, none repeated
+        n = round((2 * len(seen)) ** 0.5) + 1
+        assert n * (n - 1) // 2 == len(seen) == len(set(seen))
+        assert n >= len(gens) == 36
+
+
+# random inputs for the packed kernel: the elimination variable and a
+# 3 x 3 grid, exponents up to 3
+VARIABLES = [ELIM] + [(i, j) for i in range(1, 4) for j in range(1, 4)]
+monomials = st.dictionaries(st.sampled_from(VARIABLES), st.integers(1, 3), max_size=4).map(Monomial.make)
+
+
+def packing_of(*ms: Monomial):
+    return gbei.poly._Packing([Polynomial.term(m) for m in ms])
+
+
+class TestPackedMonomials:
+    @given(monomials, monomials)
+    def test_int_order_is_the_lex_order(self, a, b):
+        packing = packing_of(a, b)
+        ka, kb = packing.key(a), packing.key(b)
+        assert (ka > kb) - (ka < kb) == a._cmp(b)
+        assert packing.monomial(ka) == a and packing.degree(ka) == a.degree
+
+    @given(monomials, monomials)
+    def test_operations_agree_with_monomial(self, a, b):
+        packing = packing_of(a, b)
+        ka, kb = packing.key(a), packing.key(b)
+        assert packing.divides(ka, kb) == a.divides(b)
+        assert packing.coprime(ka, kb) == a.coprime(b)
+        assert packing.monomial(packing.lcm(ka, kb)) == a.lcm(b)
+        assert packing.monomial(packing.product(ka, kb)) == a * b
+        if a.divides(b):
+            assert packing.monomial(kb - ka) == b / a
+
+    @given(monomials, monomials)
+    def test_an_exponent_past_a_small_field_raises_and_never_wraps(self, a, b):
+        with mock.patch.object(gbei.poly, "_FIELD_BITS", 3):  # exponents up to 3
+            packing = packing_of(a, b)
+            assert packing.limit == 3
+            ka, kb = packing.key(a), packing.key(b)
+            if max((e for _, e in (a * b).exps), default=0) > 3:
+                with pytest.raises(SizeCap, match="packed-monomial limit of 3"):
+                    packing.product(ka, kb)
+            else:
+                assert packing.monomial(packing.product(ka, kb)) == a * b
+            with pytest.raises(SizeCap, match="packed-monomial limit of 3"):
+                packing.key(a * Monomial.of((1, 1), 4))
+
+    def test_a_reduction_past_a_small_field_raises(self):
+        # x[1,1]^3 x[2,1]^3 reduces to x[2,1]^6 by x[1,1] -> x[2,1]
+        f = Polynomial.term(mono((1, 1, 3), (2, 1, 3)))
+        with mock.patch.object(gbei.poly, "_FIELD_BITS", 3):
+            with pytest.raises(SizeCap, match="packed-monomial limit of 3"):
+                normal_form(f, [var(2, 1) - var(1, 1)])
+            with pytest.raises(SizeCap, match="packed-monomial limit of 3"):
+                buchberger([f, var(2, 1) - var(1, 1)])
+        assert normal_form(f, [var(2, 1) - var(1, 1)]) == Polynomial.term(mono((2, 1, 6)))
+
+
+grid_minors = st.builds(minor2, st.just(1), st.integers(2, 3), st.just(1), st.integers(2, 3)) | st.builds(
+    minor2, st.just(2), st.just(3), st.integers(1, 2), st.just(3)
+)
+# binomials on a 2 x 2 grid, so that their leads overlap
+corner = st.dictionaries(
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), st.integers(1, 2), min_size=1, max_size=3
+).map(Monomial.make)
+binomials = st.builds(
+    lambda a, b, c: Polynomial.term(a) - Polynomial.term(b, c),
+    corner,
+    corner,
+    st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+).filter(bool)
+
+
+class TestAgainstTheReference:
+    """The packed kernel forms the S-pairs of the Monomial reference in the
+    same order and returns the same basis, on random inputs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(grid_minors | binomials, min_size=2, max_size=4))
+    def test_minors_and_binomials(self, gens):
+        reference, formed = [], []
+        want = reference_buchberger(gens, reference)
+        with mock.patch.object(gbei.poly, "_s_pair", recording_s_pairs(formed)):
+            assert buchberger(gens) == want
+        assert formed == reference
+        assert is_groebner_basis(want) and is_reduced_basis(want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sets(st.sampled_from([(u, v) for u in range(1, 5) for v in range(u + 1, 5)]), min_size=1), st.data())
+    def test_intersection_of_two_primes(self, edges, data):
+        primes = minimal_primes(Graph.from_edges(4, sorted(edges)), 2)
+        assume(len(primes) > 1)
+        a, b = data.draw(st.permutations(primes))[:2]
+        with mock.patch.object(gbei.poly, "buchberger", reference_buchberger):
+            want = intersect(a.ideal, b.ideal).groebner()
+        assert intersect(a.ideal, b.ideal).groebner() == want
 
 
 class TestIdealOps:
