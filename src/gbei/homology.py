@@ -339,13 +339,24 @@ def _dominated_vertex(sigma: int, inside: tuple[int, ...]) -> int:
     return 0
 
 
+def _union_closure(gens) -> set[int]:
+    """Every union of a nonempty subset of gens, as a fold: after g the set
+    holds the earlier unions, each of them joined with g, and g alone."""
+    closure: set[int] = set()
+    for g in gens:
+        closure |= {s | g for s in closure}
+        closure.add(g)
+    return closure
+
+
 def _restriction_vectors(gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     """Reduced homology ranks over Q of the restriction to sigma, indexed by
     dimension + 1, for each union sigma of the given minimal nonfaces (the
     other restrictions are cones); only nonzero vectors are kept.
 
-    The unions are visited by increasing size, and each is settled by the
-    first of three rules that applies, reading smaller unions from the dict:
+    The unions are built by a fold over the generators (_union_closure)
+    and visited by increasing size.  Each is settled by the first of three
+    rules that applies, reading smaller unions from the dict:
 
     - Collapse.  Some v in sigma is dominated (_dominated_vertex): either
       v is no vertex of the restriction D, which then equals the
@@ -365,19 +376,8 @@ def _restriction_vectors(gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
 
     The dict is the memo of this one call.
     """
-    closure = set(gens)
-    frontier = list(gens)
-    while frontier:
-        fresh = []
-        for s in frontier:
-            for g in gens:
-                u = s | g
-                if u not in closure:
-                    closure.add(u)
-                    fresh.append(u)
-        frontier = fresh
     vectors: dict[int, tuple[int, ...]] = {}
-    for sigma in sorted(closure, key=lambda s: (s.bit_count(), s)):
+    for sigma in sorted(_union_closure(gens), key=lambda s: (s.bit_count(), s)):
         inside = tuple(g for g in gens if g & sigma == g)
         v = _dominated_vertex(sigma, inside)
         if v:

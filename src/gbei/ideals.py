@@ -20,13 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement
 
 from .graphs import (
     Classification,
     CutSetCensus,
     Graph,
     SizeCap,
+    _bits,
     classify,
     components_within,
     connected_components,
@@ -40,7 +41,6 @@ from .poly import (
     Monomial,
     Polynomial,
     buchberger,
-    minimal_generators,
     monomial_ideal_equal,
 )
 
@@ -105,42 +105,32 @@ class AdmissiblePath:
 
 
 def admissible_paths(g: Graph) -> tuple[AdmissiblePath, ...]:
-    """All admissible paths, sorted by (start, end, vertex sequence)."""
+    """All admissible paths, sorted by vertex sequence.
+
+    A path admits a proper subsequence that is a path between the same
+    endpoints exactly when it has a chord: a chord i_a i_b (b > a + 1)
+    skips the vertices between, and a shorter path has a consecutive pair
+    that was not consecutive before.  So the admissible paths are the
+    chordless ones, and the walk refuses every vertex of the path and every
+    neighbour of a path vertex other than the last.
+    """
     if g.n > 10:
         raise SizeCap(f"path enumeration is exponential; n={g.n} > 10")
-    adj = {v: set() for v in range(1, g.n + 1)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-
-    def shortcut_free(path: tuple[int, ...]) -> bool:
-        inner = path[1:-1]
-        a, b = path[0], path[-1]
-        for size in range(len(inner)):
-            for sub in combinations(inner, size):
-                seq = (a, *sub, b)
-                if all(seq[t + 1] in adj[seq[t]] for t in range(len(seq) - 1)):
-                    return False
-        return True
-
+    adj, full = g._adj, (1 << g.n) - 1
     found: list[AdmissiblePath] = []
+
+    def walk(path: tuple[int, ...], refused: int, outside: int, end: int):
+        last = adj[path[-1] - 1]
+        step = last & ~refused
+        if step >> (end - 1) & 1:
+            found.append(AdmissiblePath((*path, end)))
+        for w in _bits(step & outside):
+            walk((*path, w + 1), refused | last, outside, end)
+
     for i in range(1, g.n + 1):
         for j in range(i + 1, g.n + 1):
-            allowed = [v for v in range(1, g.n + 1) if v < i or v > j]
-
-            def walk(path: list[int]):
-                v = path[-1]
-                if j in adj[v]:
-                    full = (*path, j)
-                    if shortcut_free(full):
-                        found.append(AdmissiblePath(full))
-                for w in adj[v]:
-                    if w in allowed and w not in path:
-                        path.append(w)
-                        walk(path)
-                        path.pop()
-
-            walk([i])
+            outside = (1 << (i - 1)) - 1 | full >> j << j  # labels below i or above j
+            walk((i,), 1 << (i - 1), outside, j)
     found.sort(key=lambda p: p.vertices)
     return tuple(found)
 
@@ -160,23 +150,24 @@ class AntitoneMap:
 
 
 def antitone_maps(path: AdmissiblePath, rows: int) -> tuple[AntitoneMap, ...]:
-    """All valid row assignments, in lexicographic order of value tuples."""
+    """All valid row assignments, in lexicographic order of value tuples.
+
+    Read in order of increasing vertex label, an antitone map is a
+    non-increasing sequence of rows, so each map lays one such sequence
+    along the positions in that order.  The start's label is below the
+    end's, so its row is at least the end's; the sequences where it is
+    strictly above are kept.
+    """
     _require_rows(rows)
     verts = path.vertices
-    r = len(verts) - 1
-    pairs = [
-        (s, t)
-        for s in range(r + 1)
-        for t in range(r + 1)
-        if verts[s] < verts[t]
-    ]
-    out = []
-    for values in product(range(1, rows + 1), repeat=r + 1):
-        if values[0] <= values[r]:
-            continue
-        if all(values[s] >= values[t] for s, t in pairs):
-            out.append(AntitoneMap(path, values))
-    return tuple(out)
+    rank = [sorted(verts).index(v) for v in verts]
+    first, last = rank[0], rank[-1]
+    values = sorted(
+        tuple(seq[k] for k in rank)
+        for seq in combinations_with_replacement(range(rows, 0, -1), len(verts))
+        if seq[first] > seq[last]
+    )
+    return tuple(AntitoneMap(path, v) for v in values)
 
 
 def _basis_element(am: AntitoneMap) -> Polynomial:
@@ -280,8 +271,9 @@ def depth_formula(g: Graph, rows: int) -> FormulaResult:
 
 def regularity_formula(g: Graph, rows: int) -> FormulaResult:
     """Regularity of the quotient: each component of size k contributes
-    k - 1, exactly when rows >= total vertex count or the component is a
-    path, and as an upper bound otherwise; components add."""
+    k - 1, exactly when rows >= k or the component is a path, and as an
+    upper bound otherwise; components add, and the sum is exact when every
+    contribution is."""
     return Analysis(g, rows).regularity
 
 
@@ -373,8 +365,12 @@ class Analysis:
         value = sum(part.graph.n - 1 for part in self.parts)
         if self.rows >= self.graph.n:
             return FormulaResult("regularity", "exact", value, "exact: row count at least vertex count")
-        if all(is_path(part.graph) for part in self.parts):
+        paths = [is_path(part.graph) for part in self.parts]
+        if all(paths):
             return FormulaResult("regularity", "exact", value, "exact: every component is a path")
+        if all(path or self.rows >= part.graph.n for path, part in zip(paths, self.parts)):
+            origin = "exact: every component is a path or has at most as many vertices as rows"
+            return FormulaResult("regularity", "exact", value, origin)
         origin = "upper bound: fewer rows than vertices and a non-path component"
         return FormulaResult("regularity", "upper-bound", value, origin)
 
@@ -445,11 +441,11 @@ class Analysis:
     def initial_ideal(self) -> tuple[Monomial, ...]:
         """See initial_ideal; raises BasisValidationError on a
         non-squarefree lead."""
-        leads = [f.leading_monomial() for f in self.basis.groebner()]
+        leads = self.basis.initial_monomials()
         for m in leads:
             if not m.is_squarefree():
                 raise BasisValidationError(f"initial ideal generator {m} is not squarefree")
-        return minimal_generators(leads)
+        return leads
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gbei import homology
 from gbei.graphs import enumerate_connected_graphs
@@ -257,6 +261,13 @@ class TestReducedHomology:
             reduced_homology_ranks(k, range(17))
         with pytest.raises(ValueError):
             reduced_homology_ranks(SimplicialComplex(3, ()), [5])
+
+
+class TestUnionClosure:
+    @given(st.lists(st.integers(1, (1 << 8) - 1), min_size=1, max_size=7))
+    def test_fold_gives_the_union_of_every_nonempty_subset(self, masks):
+        unions = {reduce(or_, sub) for size in range(1, len(masks) + 1) for sub in combinations(masks, size)}
+        assert homology._union_closure(masks) == unions
 
 
 class TestBettiTables:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import combinations, product
+
 import pytest
 
 from gbei.graphs import Graph, enumerate_connected_graphs
@@ -30,12 +33,65 @@ from gbei.poly import (
     is_reduced_basis,
     monomial_ideal_equal,
 )
+from gbei.report import verify_report
 
 from conftest import C4, CHERRY, FAN, K2, K3, P3, P5, STAR, graph_of
 
 
 def mono(*vars_) -> Monomial:
     return Monomial.make({v: vars_.count(v) for v in vars_})
+
+
+# ---------------------------------------------------------------------------
+# the closed-form objects straight from their definitions, by generating
+# candidates and filtering them: every subsequence of the interior, every
+# row tuple
+
+def reference_admissible_paths(g: Graph) -> list[tuple[int, ...]]:
+    adj = {v: set() for v in range(1, g.n + 1)}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def is_path(seq) -> bool:
+        return all(seq[t + 1] in adj[seq[t]] for t in range(len(seq) - 1))
+
+    def no_proper_subpath(path) -> bool:
+        inner = path[1:-1]
+        return not any(
+            is_path((path[0], *sub, path[-1]))
+            for size in range(len(inner))
+            for sub in combinations(inner, size)
+        )
+
+    found = []
+
+    def walk(path, i, j):
+        if j in adj[path[-1]] and no_proper_subpath((*path, j)):
+            found.append((*path, j))
+        for w in adj[path[-1]]:
+            if (w < i or w > j) and w not in path:
+                walk((*path, w), i, j)
+
+    for i, j in combinations(range(1, g.n + 1), 2):
+        walk((i,), i, j)
+    return sorted(found)
+
+
+def reference_antitone_maps(path: tuple[int, ...], rows: int) -> list[tuple[int, ...]]:
+    r = len(path) - 1
+    pairs = [(s, t) for s in range(r + 1) for t in range(r + 1) if path[s] < path[t]]
+    return [
+        values
+        for values in product(range(1, rows + 1), repeat=r + 1)
+        if values[0] > values[r] and all(values[s] >= values[t] for s, t in pairs)
+    ]
+
+
+def labeled_graphs(n: int):
+    pairs = list(combinations(range(1, n + 1), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
 
 
 class TestGenerators:
@@ -97,14 +153,27 @@ class TestAdmissiblePaths:
                 assert all(v < p.start or v > p.end for v in p.interior)
 
     def test_shortcut_free(self):
-        # 1-5-2 is admissible in this graph but 1-5-4-2 is not: dropping 5
-        # or 4 alone gives no path, dropping nothing... the subsequence
-        # 1,5,2 is not between the same endpoints; the shortcut test only
-        # strikes paths with a proper inner subsequence joining i to j
+        # 5-2 is a chord of 1-5-4-2: it skips 4, so the proper subsequence
+        # 1-5-2 is a path between the same ends, and 1-5-2 is chordless
         g = graph_of(5, (1, 5), (2, 5), (2, 4), (4, 5), (3, 4))
         verts = {p.vertices for p in admissible_paths(g)}
         assert (1, 5, 2) in verts
         assert (1, 5, 4, 2) not in verts
+
+    def test_chordless_walk_matches_the_subsequence_test(self):
+        for n in range(1, 6):
+            for g in labeled_graphs(n):
+                got = [p.vertices for p in admissible_paths(g)]
+                assert got == reference_admissible_paths(g), g
+
+    def test_chordless_walk_matches_the_subsequence_test_on_random_graphs(self):
+        rng = random.Random(12)
+        for _ in range(25):
+            n = rng.randint(7, 10)
+            density = rng.random()
+            g = Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < density])
+            got = [p.vertices for p in admissible_paths(g)]
+            assert got == reference_admissible_paths(g), g
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
@@ -142,6 +211,13 @@ class TestAntitoneMaps:
                             assert row == 2
                         elif v > p.end:
                             assert row == 1
+
+    def test_sequences_match_the_product_filter(self):
+        paths = {p.vertices for n in range(2, 6) for g in enumerate_connected_graphs(n) for p in admissible_paths(g)}
+        for verts in sorted(paths):
+            for rows in range(2, 6):
+                got = [am.values for am in antitone_maps(AdmissiblePath(verts), rows)]
+                assert got == reference_antitone_maps(verts, rows), (verts, rows)
 
     def test_antitone_constraint_holds(self):
         path = AdmissiblePath((2, 1, 4, 3))
@@ -278,6 +354,22 @@ class TestClosedForms:
         assert res.provenance == "exact: row count at least vertex count"
         res = regularity_formula(FAN, 2)
         assert (res.value, res.kind) == (4, "upper-bound")
+
+    def test_regularity_is_exact_when_every_component_is_small_or_a_path(self):
+        # K3 plus an isolated vertex at 3 rows: 4 vertices in all, but each
+        # component has at most 3, so each contributes its exact k - 1
+        k3_k1 = graph_of(4, (1, 2), (1, 3), (2, 3))
+        res = regularity_formula(k3_k1, 3)
+        assert (res.value, res.kind) == (2, "exact")
+        check = next(c for c in verify_report(k3_k1, 3)["verification"]["checks"] if c["name"] == "regularity-vs-oracle")
+        assert check["status"] == "pass"
+        assert check["detail"] == "oracle 2, formula 2 (exact)"
+        # K3 plus P3 at 3 rows: one small component and one path
+        res = regularity_formula(graph_of(6, (1, 2), (1, 3), (2, 3), (4, 5), (5, 6)), 3)
+        assert (res.value, res.kind) == (4, "exact")
+        # K4 plus K1 at 3 rows: K4 has more vertices than rows and is no path
+        res = regularity_formula(graph_of(5, (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)), 3)
+        assert (res.value, res.kind) == (3, "upper-bound")
 
     def test_depth_never_exceeds_dimension(self):
         for n in range(2, 6):
