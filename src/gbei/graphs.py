@@ -201,15 +201,6 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     return True, tuple(v + 1 for v in order)
 
 
-def _prune_nonmaximal(masks: list[int]) -> list[int]:
-    uniq = sorted(set(masks), key=lambda m: -m.bit_count())
-    kept: list[int] = []
-    for m in uniq:
-        if not any(m & k == m for k in kept):
-            kept.append(m)
-    return kept
-
-
 def _bron_kerbosch(adj: list[int], mask: int) -> list[int]:
     """All maximal cliques of the subgraph induced on `mask`, by branch and
     bound with pivoting."""
@@ -232,12 +223,36 @@ def _bron_kerbosch(adj: list[int], mask: int) -> list[int]:
 
 def _facet_masks(adj: list[int]) -> tuple[list[int], bool]:
     """(maximal clique masks, chordal flag).  A facet whose first removed
-    vertex is v is v's closed neighborhood at its removal; a facet with no
-    removed vertex is a maximal clique of the kernel."""
-    _, closed, kernel = _simplicial_elimination(adj)
+    vertex is v is v's closed neighborhood C(v) at its removal; a facet with
+    no removed vertex is a maximal clique of the kernel, which is maximal
+    unless it lies in some C(v).
+
+    C(v) is maximal unless C(v) = C(u) - {u} for some u whose parent is v,
+    the parent of u being the first removed vertex of C(u) - {u} (kernel
+    vertices count as removed last).  C(u) - {u} is a clique through the
+    parent p, all removed after p, so C(u) is in {u} + C(p), and C(p) is in
+    C(u) exactly when |C(u)| = |C(p)| + 1.  Conversely, if C(p) lies in a
+    larger clique, some w outside C(p) is adjacent to all of it; w is
+    removed before p (else w would be in C(p)), so C(p) lies in C(w) - {w}.
+    If p is not w's parent q, then q is removed between w and p and C(p)
+    lies in C(q) - {q}; as the removal position grows this ends at a w
+    whose parent is p.  So one pass over the removed vertices finds every
+    candidate that is not maximal."""
+    order, closed, kernel = _simplicial_elimination(adj)
+    rank = [len(order)] * len(adj)
+    for i, v in enumerate(order):
+        rank[v] = i
+    maximal = [True] * len(order)
+    for i, v in enumerate(order):
+        later = closed[i] ^ (1 << v)
+        if later:
+            p = min(rank[w] for w in _bits(later))
+            if p < len(order) and closed[i].bit_count() == closed[p].bit_count() + 1:
+                maximal[p] = False
+    facets = [c for c, keep in zip(closed, maximal) if keep]
     if kernel:
-        closed += _bron_kerbosch(adj, kernel)
-    return _prune_nonmaximal(closed), not kernel
+        facets += [k for k in _bron_kerbosch(adj, kernel) if not any(k & f == k for f in facets)]
+    return facets, not kernel
 
 
 def _leaf_order(facets: list[int]) -> tuple[int, ...] | None:
@@ -559,11 +574,69 @@ def leaf_decomposition(g: Graph) -> LeafSplit:
 _FILTERS = ("all", "chordal", "block", "gblock")
 
 
+def _add_vertex(adj: list[int], facets: list[int], placed: int, k: int, nbrs: int, want: str) -> list[int] | None:
+    """Facets of H + k, where H is the graph on the mask `placed`, a member
+    of class `want` with maximal cliques `facets`, and vertex k joins it
+    with neighborhood `nbrs`; None when H + k leaves the class.
+
+    A chordless cycle through k runs k-x-P-y-k with x, y in nbrs nonadjacent
+    and P inside one component of H - nbrs, so H + k is chordal exactly when
+    the vertices of nbrs next to each such component form a clique.  The
+    cliques through k are k plus a clique inside nbrs, and a maximal clique
+    of H[nbrs] lies in a facet of H, so the new facets are k joined to the
+    maximal members of {F & nbrs}; a facet of H stays maximal unless it
+    lies inside nbrs."""
+    for comp in _component_masks(adj, placed & ~nbrs):
+        touch = 0
+        for c in _bits(comp):
+            touch |= adj[c]
+        touch &= nbrs
+        for x in _bits(touch):
+            if touch & ~adj[x] & ~(1 << x):
+                return None
+    bit = 1 << k
+    joined: list[int] = []
+    for m in sorted({f & nbrs for f in facets}, key=int.bit_count, reverse=True):
+        if not any(m & j == m for j in joined):
+            joined.append(m)
+    out = [f for f in facets if f & ~nbrs] + [m | bit for m in joined]
+    if want == "chordal":
+        return out
+    # only a vertex of a new facet has new facets through it.  Facets
+    # through v meet pairwise in their common part exactly when what they
+    # hold beyond it is disjoint; a block graph's common part is v alone
+    for v in _bits(nbrs | bit):
+        through = [f for f in out if f >> v & 1]
+        common = through[0]
+        for f in through:
+            common &= f
+        if want == "block" and len(through) > 1 and common != 1 << v:
+            return None
+        rest = total = 0
+        for f in through:
+            rest |= f & ~common
+            total += (f & ~common).bit_count()
+        if total != rest.bit_count():
+            return None
+    return out
+
+
 def enumerate_connected_graphs(n: int, classification: str | None = None):
     """Yield every connected labeled graph on {1..n}, optionally filtered to
-    a classification ('chordal', 'block', 'gblock').  No isomorphism
-    deduplication is performed.  Exhaustive over all 2^C(n,2) edge sets, so
-    capped at n <= 7.
+    a classification ('chordal', 'block', 'gblock'), in increasing order of
+    the edge mask whose bit i is the i-th pair of combinations(1..n, 2).  No
+    isomorphism deduplication is performed.
+
+    One depth-first search places the vertices from n down to 1; each picks
+    its neighborhood among the vertices already placed, in increasing mask
+    order.  A pair (u, v) with larger u holds a higher mask bit, so this is
+    the edge-mask order, and nothing is collected or sorted.  The three
+    classes are hereditary (the facets of G - v are the maximal members of
+    {F - v}, and their intersections only lose v), so a prefix that leaves
+    the class is dropped at once, and its facets are extended vertex by
+    vertex (see _add_vertex) and cached on the yielded graph.  Connectivity
+    is tested once the last vertex is placed.  Unfiltered, the search visits
+    all 2^C(n,2) edge sets, so n is capped at 7.
     """
     if n > 7:
         raise SizeCap(f"enumeration is exponential in C(n,2); n={n} > 7")
@@ -573,33 +646,35 @@ def enumerate_connected_graphs(n: int, classification: str | None = None):
     if want not in _FILTERS:
         raise ValueError(f"unknown filter {classification!r}; options: {_FILTERS}")
 
-    pairs = list(combinations(range(n), 2))
     full = (1 << n) - 1
-    for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        mm = mask
-        while mm:
-            b = mm & -mm
-            mm ^= b
-            u, v = pairs[b.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        if len(_component_masks(adj, full)) != 1:
-            continue
-        if want != "all":
-            facets = _facet_masks(adj)
-            chordal, block, gblock, _ = _classify_masks(*facets)
-            if want == "chordal" and not chordal:
-                continue
-            if want == "block" and not block:
-                continue
-            if want == "gblock" and not gblock:
-                continue
-        edges = [(u + 1, v + 1) for i, (u, v) in enumerate(pairs) if mask >> i & 1]
-        g = Graph.from_edges(n, edges)
-        # the yielded graph keeps what the filter computed, stored where its
-        # cached properties would store it
-        vars(g)["_adj"] = adj
-        if want != "all":
-            vars(g)["_facets"] = facets
-        yield g
+    adj = [0] * n
+
+    def place(k: int, facets: list[int]):
+        if k < 0:
+            if len(_component_masks(adj, full)) == 1:
+                edges = [(u + 1, v + 1) for u in range(n) for v in _bits(adj[u] >> (u + 1) << (u + 1))]
+                g = Graph.from_edges(n, edges)
+                # the yielded graph keeps what the search built, stored where
+                # its cached properties would store it
+                vars(g)["_adj"] = list(adj)
+                if want != "all":
+                    vars(g)["_facets"] = (facets, True)
+                yield g
+            return
+        bit = 1 << k
+        placed = full & ~((bit << 1) - 1)
+        for m in range(1 << (n - 1 - k)):
+            nbrs = m << (k + 1)
+            out = facets
+            if want != "all":
+                out = _add_vertex(adj, facets, placed, k, nbrs, want)
+                if out is None:
+                    continue
+            adj[k] = nbrs
+            for w in _bits(nbrs):
+                adj[w] |= bit
+            yield from place(k - 1, out)
+            for w in _bits(nbrs):
+                adj[w] ^= bit
+
+    yield from place(n - 2, [1 << (n - 1)])

@@ -155,9 +155,10 @@ def test_acceptance_07_column_adjunction_commutes_with_initial_ideal():
 
 
 def test_acceptance_08_leaf_split_shifts_the_cut_set_counts():
-    failures, cases = [], 0
+    failures, cases, seen = [], 0, 0
     for n in range(2, 8):
         for g in enumerate_connected_graphs(n, "gblock"):
+            seen += n == 7
             census = cut_set_census(g)
             if not any(census.counts.values()):
                 continue  # a single clique: nothing to peel
@@ -175,6 +176,8 @@ def test_acceptance_08_leaf_split_shifts_the_cut_set_counts():
                 if remainder.a(i) > want:
                     failures.append((g.sorted_edges(), i, "remainder bound"))
                     break
+    if seen != 127877:
+        failures.append((7, f"{seen} generalized block graphs, expected 127877"))
     _report("leaf split drops exactly one cut set of its own size", failures, cases)
 
 

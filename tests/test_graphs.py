@@ -53,6 +53,61 @@ def brute_facets(g: Graph) -> set[frozenset[int]]:
     return {c for c in cliques if not any(c < d for d in cliques)}
 
 
+def adjacency(n: int, edges) -> list[int]:
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def reference_prune(masks: list[int]) -> list[int]:
+    """Keep each mask that no larger kept mask contains, largest first:
+    quadratic in the number of candidates."""
+    uniq = sorted(set(masks), key=lambda m: -m.bit_count())
+    kept: list[int] = []
+    for m in uniq:
+        if not any(m & k == m for k in kept):
+            kept.append(m)
+    return kept
+
+
+def reference_facet_masks(adj: list[int]) -> tuple[list[int], bool]:
+    """Every candidate of the elimination and the kernel's cliques, pruned
+    by reference_prune."""
+    _, closed, kernel = gbei.graphs._simplicial_elimination(adj)
+    if kernel:
+        closed += gbei.graphs._bron_kerbosch(adj, kernel)
+    return reference_prune(closed), not kernel
+
+
+def reference_enumeration(n: int, classification: str | None = None):
+    """Every edge mask in increasing order, kept when connected and in the
+    class, with the facets the filter computed cached on the graph."""
+    pairs = list(combinations(range(n), 2))
+    full = (1 << n) - 1
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        adj = adjacency(n, edges)
+        if len(gbei.graphs._component_masks(adj, full)) != 1:
+            continue
+        if classification:
+            facets = reference_facet_masks(adj)
+            chordal, block, gblock, _ = gbei.graphs._classify_masks(*facets)
+            if not {"chordal": chordal, "block": block, "gblock": gblock}[classification]:
+                continue
+        g = Graph.from_edges(n, [(u + 1, v + 1) for u, v in edges])
+        vars(g)["_adj"] = adj
+        if classification:
+            vars(g)["_facets"] = facets
+        yield g
+
+
+def edge_mask(g: Graph) -> int:
+    """Bit i is set when the i-th pair of combinations(1..n, 2) is an edge."""
+    return sum(1 << i for i, e in enumerate(combinations(range(1, g.n + 1), 2)) if e in g.edges)
+
+
 def all_graphs(n: int):
     slots = list(combinations(range(1, n + 1), 2))
     for bits in range(1 << len(slots)):
@@ -139,6 +194,25 @@ class TestCliqueComplex:
             g = cycle_or_wheel_with_simplicial_parts(rng)
             assert not is_chordal(g)[0], g
             assert set(clique_complex(g).facets) == brute_facets(g), g
+
+    def test_facets_match_the_quadratic_prune(self):
+        # every labeled graph on up to 6 vertices, disconnected ones included
+        for n in range(1, 7):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                adj = adjacency(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+                facets, chordal = gbei.graphs._facet_masks(adj)
+                want, want_chordal = reference_facet_masks(adj)
+                assert len(facets) == len(set(facets)) and set(facets) == set(want), (n, mask)
+                assert chordal == want_chordal, (n, mask)
+        rng = random.Random(13)
+        for _ in range(300):
+            n, p = rng.randint(7, 12), rng.random()
+            adj = adjacency(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            facets, chordal = gbei.graphs._facet_masks(adj)
+            want, want_chordal = reference_facet_masks(adj)
+            assert len(facets) == len(set(facets)) and set(facets) == set(want), adj
+            assert chordal == want_chordal, adj
 
     def test_facets_match_exhaustive_search_chordal_n6(self):
         for g in enumerate_connected_graphs(6, "chordal"):
@@ -373,12 +447,38 @@ class TestLeafDecomposition:
 
 class TestEnumeration:
     def test_counts(self):
-        assert sum(1 for _ in enumerate_connected_graphs(3)) == 4
-        assert sum(1 for _ in enumerate_connected_graphs(4)) == 38
+        # connected labeled graphs (OEIS A001187)
+        assert [sum(1 for _ in enumerate_connected_graphs(n)) for n in range(1, 7)] == [1, 1, 4, 38, 728, 26704]
         assert sum(1 for _ in enumerate_connected_graphs(4, "chordal")) == 35
         assert sum(1 for _ in enumerate_connected_graphs(4, "gblock")) == 35
         assert sum(1 for _ in enumerate_connected_graphs(4, "block")) == 29
         assert sum(1 for _ in enumerate_connected_graphs(5, "gblock")) == 421
+        assert sum(1 for _ in enumerate_connected_graphs(6, "gblock")) == 6582
+
+    @pytest.mark.parametrize("classification", [None, "chordal", "block", "gblock"])
+    def test_matches_the_mask_loop(self, classification):
+        for n in range(1, 7):
+            got = list(enumerate_connected_graphs(n, classification))
+            want = list(reference_enumeration(n, classification))
+            assert [g.sorted_edges() for g in got] == [g.sorted_edges() for g in want], n
+            for g, w in zip(got, want):
+                assert vars(g)["_adj"] == vars(w)["_adj"], g
+                assert ("_facets" in vars(g)) == bool(classification), g
+                if classification:
+                    facets, chordal = vars(g)["_facets"]
+                    assert (sorted(facets), chordal) == (sorted(vars(w)["_facets"][0]), vars(w)["_facets"][1]), g
+
+    @pytest.mark.parametrize("classification", [None, "chordal", "block", "gblock"])
+    def test_edge_masks_increase_and_cached_facets_are_the_facets(self, classification):
+        for n in range(1, 7):
+            masks = []
+            for g in enumerate_connected_graphs(n, classification):
+                masks.append(edge_mask(g))
+                if classification:
+                    facets, chordal = g._facets
+                    want, want_chordal = gbei.graphs._facet_masks(g._adj)
+                    assert set(facets) == set(want) and len(facets) == len(want) and chordal == want_chordal, g
+            assert all(a < b for a, b in zip(masks, masks[1:])), n
 
     def test_filter_semantics(self):
         for g in enumerate_connected_graphs(4, "block"):
