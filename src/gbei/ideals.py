@@ -18,7 +18,6 @@ generalized block graphs.  Everything is exact and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
@@ -59,9 +58,17 @@ def minor(row_pair: tuple[int, int], col_pair: tuple[int, int]) -> Polynomial:
         raise ValueError(f"rows must be increasing, got {row_pair}")
     if not i < j:
         raise ValueError(f"columns must be increasing, got {col_pair}")
-    lead = Monomial.of((k, i)) * Monomial.of((l, j))
-    tail = Monomial.of((l, i)) * Monomial.of((k, j))
-    return Polynomial({lead: Fraction(1), tail: Fraction(-1)})
+    return _binomial([], ((k, i), (l, j)), ((k, j), (l, i)))
+
+
+def _binomial(common, lead, tail) -> Polynomial:
+    """common * (lead - tail) for squarefree lead and tail on distinct
+    variables, none of them in `common`: each product is a merge, so each
+    monomial is built as one sorted exponent tuple."""
+    return Polynomial({
+        Monomial(tuple((v, 1) for v in sorted([*common, *lead]))): 1,
+        Monomial(tuple((v, 1) for v in sorted([*common, *tail]))): -1,
+    })
 
 
 def _minors_for_edges(edges, rows: int) -> list[Polynomial]:
@@ -171,12 +178,15 @@ def antitone_maps(path: AdmissiblePath, rows: int) -> tuple[AntitoneMap, ...]:
 
 
 def _basis_element(am: AntitoneMap) -> Polynomial:
+    """The interior variables x[kappa(k), i_k] times the minor on rows
+    kappa(r) < kappa(0) and columns i_0 < i_r.  The path's vertices are
+    distinct columns, so all these variables are distinct."""
     verts = am.path.vertices
     values = am.values
     r = len(verts) - 1
-    coeff = Monomial.make({(values[k], verts[k]): 1 for k in range(1, r)})
-    p = minor((values[r], values[0]), (verts[0], verts[r]))
-    return p.scaled(1, coeff)
+    interior = [(values[k], verts[k]) for k in range(1, r)]
+    low, high = values[r], values[0]
+    return _binomial(interior, ((low, verts[0]), (high, verts[r])), ((low, verts[r]), (high, verts[0])))
 
 
 class BasisValidationError(RuntimeError):

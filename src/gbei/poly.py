@@ -11,9 +11,12 @@ ascending tuple order on those pairs.  Ideal intersection uses one auxiliary
 elimination variable ranked above the whole grid; it gets the reserved key
 (0, 0) so the same comparison logic covers the extended ring.
 
-Coefficients are fractions.Fraction throughout.  Nothing here is randomized
-and every operation returns results in a deterministic order, so Groebner
-bases can be compared verbatim and frozen into golden tests.
+Coefficients are exact rationals held as Python ints, and as
+fractions.Fraction only where a division by a non-unit leaves one: every
+division goes through _quotient, which returns an int whenever the quotient
+is whole.  No coefficient is ever a float.  Nothing here is randomized and
+every operation returns results in a deterministic order, so Groebner bases
+can be compared verbatim and frozen into golden tests.
 
 Monomial and Polynomial are the types at the edges.  The Buchberger
 kernel (buchberger, normal_form, s_polynomial, is_groebner_basis) packs
@@ -219,8 +222,20 @@ class Monomial:
 ONE = Monomial(())
 
 
+def _quotient(a, b=1) -> int | Fraction:
+    """The exact coefficient a / b; with b left at 1 it coerces a lone
+    value.  An int a over b = 1 or -1 is returned as a or -a.  Anything
+    else goes through Fraction, so a float is coerced rather than kept,
+    and comes back as an int when the quotient is whole."""
+    if type(a) is int and (b == 1 or b == -1):
+        return a if b == 1 else -a
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
 class Polynomial:
-    """Sparse polynomial: a map from Monomial to nonzero Fraction.
+    """Sparse polynomial: a map from Monomial to a nonzero exact
+    coefficient, an int or, where a division left one, a Fraction.
 
     `terms` is never mutated after construction; every operation returns a
     new polynomial.  The leading monomial is therefore cached on first use.
@@ -228,7 +243,7 @@ class Polynomial:
 
     __slots__ = ("terms", "_lead")
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, terms: dict[Monomial, int | Fraction] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
         self._lead = None
 
@@ -238,11 +253,11 @@ class Polynomial:
 
     @staticmethod
     def variable(var: Var) -> "Polynomial":
-        return Polynomial({Monomial.of(var): Fraction(1)})
+        return Polynomial({Monomial.of(var): 1})
 
     @staticmethod
     def term(mono: Monomial, coeff=1) -> "Polynomial":
-        return Polynomial({mono: Fraction(coeff)})
+        return Polynomial({mono: _quotient(coeff)})
 
     def __bool__(self):
         return bool(self.terms)
@@ -277,7 +292,7 @@ class Polynomial:
         return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        d: dict[Monomial, Fraction] = {}
+        d: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
@@ -290,12 +305,12 @@ class Polynomial:
 
     def scaled(self, coeff, mono: Monomial = ONE) -> "Polynomial":
         """coeff * mono * self, the building block of division steps."""
-        c0 = Fraction(coeff)
+        c0 = _quotient(coeff)
         if not c0:
             return Polynomial()
         return Polynomial({m * mono: c * c0 for m, c in self.terms.items()})
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, int | Fraction]:
         """Leading (monomial, coefficient) under the fixed lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -310,9 +325,9 @@ class Polynomial:
         _, c = self.leading()
         if c == 1:
             return self
-        return Polynomial({m: k / c for m, k in self.terms.items()})
+        return Polynomial({m: _quotient(k, c) for m, k in self.terms.items()})
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
     def render(self) -> str:
@@ -378,16 +393,16 @@ class _Packing:
         limit = self.limit
         return Monomial(tuple((v, e) for v, s in self.shifts.items() if (e := key >> s & limit)))
 
-    def pack(self, f: Polynomial) -> dict[int, Fraction]:
+    def pack(self, f: Polynomial) -> dict[int, int | Fraction]:
         return {self.key(m): c for m, c in f.terms.items()}
 
-    def polynomial(self, terms: dict[int, Fraction]) -> Polynomial:
+    def polynomial(self, terms: dict[int, int | Fraction]) -> Polynomial:
         return Polynomial({self.monomial(k): terms[k] for k in sorted(terms, reverse=True)})
 
     def element(self, divisor) -> Polynomial:
         """The monic polynomial of a (lead, tail) divisor."""
         lead, tail = divisor
-        return self.polynomial({lead: Fraction(1), **dict(tail)})
+        return self.polynomial({lead: 1, **dict(tail)})
 
     def product(self, a: int, b: int) -> int:
         p = a + b
@@ -418,20 +433,20 @@ class _Packing:
         return total
 
 
-def _divisor(terms: dict[int, Fraction]) -> tuple[int, tuple[tuple[int, Fraction], ...]]:
+def _divisor(terms: dict[int, int | Fraction]) -> tuple[int, tuple[tuple[int, int | Fraction], ...]]:
     """A nonzero packed polynomial made monic, as its (lead, tail) pair."""
     lead = max(terms)
     lc = terms[lead]
-    return lead, tuple((m, c / lc) for m, c in terms.items() if m != lead)
+    return lead, tuple((m, _quotient(c, lc)) for m, c in terms.items() if m != lead)
 
 
-def _reduce(packing: _Packing, work: dict[int, Fraction], divisors) -> dict[int, Fraction]:
+def _reduce(packing: _Packing, work: dict[int, int | Fraction], divisors) -> dict[int, int | Fraction]:
     """Remainder of the packed polynomial `work`, which is consumed, on
     division by monic (lead, tail) divisors.  The largest remaining term
     is taken first and cancelled with the first divisor whose lead divides
     it, so the reduction path is deterministic for a fixed divisor order."""
     guard = packing.guard
-    rem: dict[int, Fraction] = {}
+    rem: dict[int, int | Fraction] = {}
     while work:
         m = max(work)
         c = work.pop(m)
@@ -454,7 +469,7 @@ def _reduce(packing: _Packing, work: dict[int, Fraction], divisors) -> dict[int,
     return rem
 
 
-def _s_pair(packing: _Packing, f, g, l: int) -> dict[int, Fraction]:
+def _s_pair(packing: _Packing, f, g, l: int) -> dict[int, int | Fraction]:
     """S-polynomial of the monic divisors f and g whose leads have lcm l;
     the two lead terms cancel, so they are never formed."""
     (lf, tf), (lg, tg) = f, g
@@ -532,6 +547,11 @@ def buchberger(gens) -> tuple[Polynomial, ...]:
     exactly the normal-selection order.  The loop runs on packed monomials
     and decodes the result once.  The result is the unique reduced basis,
     monic and sorted by decreasing leading monomial.
+
+    A field's weight 2^(kW) is 1 modulo 2^W - 1, so a packed monomial is
+    its degree modulo 2^W - 1; an lcm's degree is at most the sum of its
+    leads' degrees, so while that sum is below the modulus the degree is
+    the remainder, and only past it is the per-field loop needed.
     """
     polys = [f for f in gens if f]
     if not polys:
@@ -539,11 +559,14 @@ def buchberger(gens) -> tuple[Polynomial, ...]:
     packing = _Packing(polys)
     basis = [_divisor(packing.pack(f)) for f in polys]
     leads = [lead for lead, _ in basis]
+    degrees = [packing.degree(lead) for lead in leads]
+    modulus = (1 << packing.width) - 1
     done: set[tuple[int, int]] = set()
 
     def pair_key(i, j):
         l = packing.lcm(leads[i], leads[j])
-        return (packing.degree(l), l, i, j)
+        degree = l % modulus if degrees[i] + degrees[j] < modulus else packing.degree(l)
+        return (degree, l, i, j)
 
     pairs = [pair_key(i, j) for j in range(len(basis)) for i in range(j)]
     heapify(pairs)
@@ -556,6 +579,7 @@ def buchberger(gens) -> tuple[Polynomial, ...]:
         if h:
             basis.append(_divisor(h))
             leads.append(basis[-1][0])
+            degrees.append(packing.degree(leads[-1]))
             t = len(basis) - 1
             for k in range(t):
                 heappush(pairs, pair_key(k, t))

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbei.graphs import Graph, enumerate_connected_graphs
 from gbei.ideals import (
     AdmissiblePath,
+    AntitoneMap,
+    _basis_element,
     _closed_form_basis,
     admissible_paths,
     antitone_maps,
@@ -26,6 +31,7 @@ from gbei.ideals import (
 from gbei.poly import (
     Ideal,
     Monomial,
+    Polynomial,
     buchberger,
     ideal_equal,
     intersect,
@@ -88,6 +94,21 @@ def reference_antitone_maps(path: tuple[int, ...], rows: int) -> list[tuple[int,
     ]
 
 
+def reference_minor(rows: tuple[int, int], cols: tuple[int, int]) -> Polynomial:
+    (k, l), (i, j) = rows, cols
+    lead = Monomial.of((k, i)) * Monomial.of((l, j))
+    tail = Monomial.of((l, i)) * Monomial.of((k, j))
+    return Polynomial({lead: 1, tail: -1})
+
+
+def reference_basis_element(am: AntitoneMap) -> Polynomial:
+    """The interior monomial times the minor, through Monomial products."""
+    verts, values = am.path.vertices, am.values
+    r = len(verts) - 1
+    coeff = Monomial.make({(values[k], verts[k]): 1 for k in range(1, r)})
+    return reference_minor((values[r], values[0]), (verts[0], verts[r])).scaled(1, coeff)
+
+
 def labeled_graphs(n: int):
     pairs = list(combinations(range(1, n + 1), 2))
     for mask in range(1 << len(pairs)):
@@ -122,6 +143,13 @@ class TestGenerators:
     def test_rows_guard(self):
         with pytest.raises(ValueError):
             gbei_generators(P3, 1)
+
+    def test_minors_match_the_monomial_products(self):
+        for rows in combinations(range(1, 5), 2):
+            for cols in combinations(range(1, 6), 2):
+                got, want = minor(rows, cols), reference_minor(rows, cols)
+                assert got.sorted_terms() == want.sorted_terms()
+                assert [type(c) for c in got.terms.values()] == [int, int]
 
 
 class TestAdmissiblePaths:
@@ -250,6 +278,16 @@ class TestRauhBasis:
         leads = {f.leading_monomial() for f in basis}
         # the path 2-1-3 contributes x[2,1] * (minor on columns 2,3)
         assert mono((2, 1), (1, 2), (2, 3)) in leads
+
+    def test_elements_match_the_monomial_products(self):
+        for n in range(2, 6):
+            for g in enumerate_connected_graphs(n):
+                for path in admissible_paths(g):
+                    for rows in (2, 3, 4):
+                        for am in antitone_maps(path, rows):
+                            got, want = _basis_element(am), reference_basis_element(am)
+                            assert got.sorted_terms() == want.sorted_terms(), am
+                            assert {type(c) for c in got.terms.values()} == {int}, am
 
     def test_nonchordal_graph_still_validates(self):
         basis = rauh_basis(C4, 2).groebner()
@@ -445,3 +483,39 @@ class TestLeafIdealSplit:
                 summed = Ideal(split.left.generators + split.right.generators)
                 assert ideal_equal(summed, split.total), g
                 assert ideal_equal(intersect(split.left, split.right), rauh_basis(g, 2)), g
+
+
+@cache
+def gblock_graphs(n: int) -> list[Graph]:
+    return list(enumerate_connected_graphs(n, "gblock"))
+
+
+def invariant_part(g: Graph, rows: int) -> dict:
+    """What `verify` must print under every labeling: the check statuses,
+    the formulas, and the oracle's depth, projective dimension and
+    regularity.  The oracle's graded Betti numbers are those of S/in(I),
+    and in(I) depends on the labels, so they are left out."""
+    report = verify_report(g, rows)
+    ver = report["verification"]
+    oracle = ver.get("oracle", {})
+    return {
+        "checks": [(c["name"], c["status"]) for c in ver["checks"]],
+        "formulas": {k: report["formulas"][k]["value"] for k in ("depth", "regularity")},
+        "oracle": {k: oracle.get(k) for k in ("depth", "projectiveDimension", "regularity")},
+    }
+
+
+class TestRelabeling:
+    """Relabeling changes the lex order, and with it the closed form, the
+    engine's basis and its size, but nothing `verify` reports."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(n, 2) for n in range(3, 7)] + [(n, 3) for n in range(3, 5)]), st.data())
+    def test_verify_is_label_invariant_within_the_oracle_cap(self, shape, data):
+        n, rows = shape
+        g = data.draw(st.sampled_from(gblock_graphs(n)))
+        perm = data.draw(st.permutations(range(1, n + 1)))
+        h = Graph.from_edges(n, sorted(tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in g.edges))
+        got = invariant_part(h, rows)
+        assert got == invariant_part(g, rows), (g, h, rows)
+        assert got["oracle"]["depth"] is not None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from functools import partial
 from unittest import mock
@@ -266,7 +267,7 @@ def reference_normal_form(f: Polynomial, basis) -> Polynomial:
             if lm.divides(m):
                 lmono, lc = g.leading()
                 factor = m / lm
-                scale = c / lc
+                scale = Fraction(c) / lc
                 for gm, gc in g.terms.items():
                     if gm == lmono:
                         continue
@@ -486,6 +487,96 @@ class TestAgainstTheReference:
         with mock.patch.object(gbei.poly, "buchberger", reference_buchberger):
             want = intersect(a.ideal, b.ideal).groebner()
         assert intersect(a.ideal, b.ideal).groebner() == want
+
+
+def exact(*polys: Polynomial) -> bool:
+    """Every coefficient is an int or a Fraction, never a float."""
+    return all(type(c) in (int, Fraction) for f in polys for c in f.terms.values())
+
+
+class TestExactCoefficients:
+    """Coefficients stay exact rationals: ints, and Fractions only where a
+    division by a non-unit leaves one."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(grid_minors | binomials, min_size=2, max_size=4))
+    def test_no_float_and_the_reference_result(self, gens):
+        f, g, *rest = gens
+        gb = buchberger(gens)
+        assert exact(*gb) and gb == reference_buchberger(gens)
+        s = s_polynomial(f, g)
+        assert exact(s) and s == reference_s_polynomial(f, g)
+        for h in (s, f * g + Polynomial.term(mono((1, 2), (2, 2)), Fraction(1, 2))):
+            r = normal_form(h, gens)
+            assert exact(r) and r == reference_normal_form(h, gens)
+        for h in gens:
+            _, lc = h.leading()
+            m = h.monic()
+            assert exact(m) and m.terms == {t: Fraction(c) / lc for t, c in h.terms.items()}
+        a, b = Ideal([f]), Ideal([g, *rest])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the many-variable notice
+            got = intersect(a, b).groebner()
+            with mock.patch.object(gbei.poly, "buchberger", reference_buchberger):
+                want = intersect(a, b).groebner()
+        assert exact(*got) and got == want
+
+    def test_a_fraction_only_where_a_division_leaves_one(self):
+        # 3 x[1,1] - x[1,2] made monic is x[1,1] - 1/3 x[1,2], and x[1,2]
+        # reduces to x[2,1]
+        gens = [Polynomial.term(mono((1, 1)), 3) - var(1, 2), var(1, 2) - var(2, 1)]
+        gb = buchberger(gens)
+        assert gb == reference_buchberger(gens)
+        assert [[(m.render(), c, type(c)) for m, c in f.sorted_terms()] for f in gb] == [
+            [("x[1,1]", 1, int), ("x[2,1]", Fraction(-1, 3), Fraction)],
+            [("x[1,2]", 1, int), ("x[2,1]", -1, int)],
+        ]
+
+    def test_whole_quotients_and_coerced_coefficients_are_ints(self):
+        f = Polynomial.term(mono((1, 1)), -2) + Polynomial.term(mono((2, 2)), 4)
+        assert [type(c) for c in f.monic().terms.values()] == [int, int]
+        assert f.monic().terms == {mono((1, 1)): 1, mono((2, 2)): -2}
+        half = Polynomial.term(mono((1, 1)), 0.5)
+        assert exact(half, half.scaled(2.0)) and half.scaled(2.0).terms == {mono((1, 1)): 1}
+        assert [(c, type(c)) for c in Polynomial.term(mono((1, 1)), 2.0).terms.values()] == [(2, int)]
+
+
+# the path 4-2-3-1-5: at 2 rows its leads reach degree 5, so with 3-bit
+# fields (modulus 7) some lead pairs sum past the modulus, and a remainder
+# read there would reorder its S-pairs
+ZIGZAG = Graph.from_edges(5, [(1, 3), (1, 5), (2, 3), (2, 4)])
+
+
+def degree_calls(monkeypatch) -> tuple[list, list]:
+    """The keys `_Packing.degree` is asked for, and the packed polynomials
+    `_divisor` turns into elements, one per element a run holds."""
+    seen, held = [], []
+    degree, divisor = gbei.poly._Packing.degree, gbei.poly._divisor
+    monkeypatch.setattr(gbei.poly._Packing, "degree", lambda self, key: seen.append(key) or degree(self, key))
+    monkeypatch.setattr(gbei.poly, "_divisor", lambda terms: held.append(terms) or divisor(terms))
+    return seen, held
+
+
+class TestPairDegree:
+    """A pair's lcm degree is its packed key modulo 2^W - 1 while the two
+    leads' degrees sum below that; past it the per-field loop is used.
+    Either way the heap keys, and so the S-pair order, are the reference's."""
+
+    def test_one_degree_loop_per_element_at_the_default_width(self, monkeypatch):
+        seen, held = degree_calls(monkeypatch)
+        assert len(buchberger(gbei_generators(K4, 4).generators)) == 36
+        assert len(seen) == len(held) >= 36
+
+    def test_the_loop_past_the_modulus_keeps_the_reference_order(self, s_pairs, monkeypatch):
+        gens = gbei_generators(ZIGZAG, 2).generators
+        reference = []
+        want = reference_buchberger(gens, reference)
+        monkeypatch.setattr(gbei.poly, "_FIELD_BITS", 3)
+        seen, held = degree_calls(monkeypatch)
+        assert buchberger(gens) == want
+        assert s_pairs == reference
+        # one call per element, and the fallback for some pair
+        assert len(seen) > len(held)
 
 
 class TestIdealOps:
