@@ -28,6 +28,8 @@ restrictions from a memo kept for the one call (_restriction_vectors):
 - collapse: a vertex whose link is a cone (a dominated vertex, in the
   sense of Barmak-Minian's strong collapses) is removed without changing
   the homotopy type, so the restriction has the homology of a smaller one;
+  the test reads masks computed once per call from the generators, one
+  AND per nonface inside the subset (_collapse_steps);
 - join: when the generators inside the subset split into vertex-disjoint
   groups the restriction is a join, and its homology is the convolution of
   the groups' (Kuenneth over a field);
@@ -292,10 +294,31 @@ def _split_groups(inside: tuple[int, ...]) -> list[int]:
     return sorted(groups)
 
 
-def _dominated_vertex(sigma: int, inside: tuple[int, ...]) -> int:
+def _collapse_steps(gens: tuple[int, ...]) -> dict[int, list[tuple[int, int]]]:
+    """For each vertex bit w, the pairs (N, Q) over the minimal nonfaces N
+    containing w, where Q is the set of vertices x outside N for which
+    (N - w) + x contains a nonface.  _dominated_vertex reads these for
+    every union; see there for why they do not depend on the union."""
+    steps: dict[int, list[tuple[int, int]]] = {}
+    for n in gens:
+        rest = n
+        while rest:
+            w = rest & -rest
+            rest ^= w
+            base = n ^ w
+            reach = 0
+            for m in gens:
+                extra = m & ~base
+                if not extra & (extra - 1):
+                    reach |= extra
+            steps.setdefault(w, []).append((n, reach & ~n))
+    return steps
+
+
+def _dominated_vertex(sigma: int, steps: dict[int, list[tuple[int, int]]]) -> int:
     """The bit of a dominated vertex v of sigma, or 0 when there is none.
-    `inside` lists the minimal nonfaces contained in sigma, and D is the
-    restriction to sigma.
+    D is the restriction to sigma, and `steps` is _collapse_steps of the
+    minimal nonfaces; the lowest w with a candidate picks the vertex.
 
     v is dominated by w != v in sigma when every nonface N containing w
     misses v and (N - w) + v contains a nonface.  If v is a vertex of D,
@@ -315,25 +338,22 @@ def _dominated_vertex(sigma: int, inside: tuple[int, ...]) -> int:
     A nonface M inside (N - w) + v is not inside N - w, a proper part of
     N, so M - (N - w) is exactly {v}.  Hence each N containing w allows
     the single bits of M - (N - w) outside N, and the candidates v for
-    one w are narrowed by all such N at once, as bitmasks.
+    one w are narrowed by all such N inside sigma at once, as bitmasks.
+    Such an M is a part of N - w plus one bit x, and N is inside sigma,
+    so M is inside sigma iff x is in sigma.  So within sigma the bits
+    allowed are those of Q, taken once over all nonfaces, and since the
+    candidates lie in sigma they are narrowed by Q alone.
     """
     rest = sigma
     while rest:
         w = rest & -rest
         rest ^= w
         cand = sigma ^ w
-        for n in inside:
-            if not n & w:
-                continue
-            base = n ^ w
-            reach = 0
-            for m in inside:
-                extra = m & ~base
-                if not extra & (extra - 1):
-                    reach |= extra
-            cand &= reach & ~n
-            if not cand:
-                break
+        for n, q in steps.get(w, ()):
+            if n & sigma == n:
+                cand &= q
+                if not cand:
+                    break
         if cand:
             return cand & -cand
     return 0
@@ -358,7 +378,8 @@ def _restriction_vectors(gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     and visited by increasing size.  Each is settled by the first of three
     rules that applies, reading smaller unions from the dict:
 
-    - Collapse.  Some v in sigma is dominated (_dominated_vertex): either
+    - Collapse.  Some v in sigma is dominated (_dominated_vertex, reading
+      the masks _collapse_steps builds once for the call): either
       v is no vertex of the restriction D, which then equals the
       restriction to sigma - v, or its link L in D is a cone.  In the
       second case D is the union of the restriction to sigma - v and the
@@ -368,21 +389,23 @@ def _restriction_vectors(gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
       vector is read from the dict; if it is missing, either it is zero or
       sigma - v is not a union of nonfaces, so that restriction is a cone
       and the vector is zero anyway.
-    - Join.  The nonfaces inside sigma fall into more than one connected
-      group.  D is the join of the restrictions to the groups, each a
-      smaller union, and over a field the vector of a join is the
-      convolution of the factors' vectors (Kuenneth).
+    - Join.  The nonfaces inside sigma, listed only for the unions no
+      collapse settles, fall into more than one connected group.  D is
+      the join of the restrictions to the groups, each a smaller union,
+      and over a field the vector of a join is the convolution of the
+      factors' vectors (Kuenneth).
     - Otherwise the faces are enumerated and ranked (_homology_vector).
 
     The dict is the memo of this one call.
     """
+    steps = _collapse_steps(gens)
     vectors: dict[int, tuple[int, ...]] = {}
     for sigma in sorted(_union_closure(gens), key=lambda s: (s.bit_count(), s)):
-        inside = tuple(g for g in gens if g & sigma == g)
-        v = _dominated_vertex(sigma, inside)
+        v = _dominated_vertex(sigma, steps)
         if v:
             vec = vectors.get(sigma ^ v)
         else:
+            inside = tuple(g for g in gens if g & sigma == g)
             groups = _split_groups(inside)
             if len(groups) > 1:
                 parts = [vectors.get(grp) for grp in groups]

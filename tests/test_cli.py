@@ -358,6 +358,51 @@ class TestCorpus:
         assert to_json(json.loads(out)) == out
 
 
+class TestConsecutiveCalls:
+    """In-process callers (the tests, a benchmark worker) call main many
+    times; no call may see another's flags."""
+
+    def test_flags_do_not_leak_into_the_next_call(self, capsys, graph_file):
+        fan = graph_file("fan.txt", FAN_TEXT)
+        with pytest.warns(RuntimeWarning):
+            code, out, _ = run(
+                capsys, "verify", "--graph", fan, "--rows", "2", "--max-vars", "4", "--with-primes", "--strict"
+            )
+        assert code == 3
+        assert "depth-vs-oracle: skipped (skipped: 10 variables exceeds --max-vars 4)" in out
+        assert "prime-intersection: pass (intersection of 2 primes)" in out
+        code, out, _ = run(capsys, "verify", "--graph", fan, "--rows", "2")
+        assert code == 0
+        assert "depth-vs-oracle: pass (oracle 5, formula 5)" in out
+        assert "prime-intersection: skipped (skipped: 10 variables > 8 (pass --with-primes to force))" in out
+        # flags of one subcommand stay out of another's call
+        assert run(capsys, "invariants", "--graph", fan, "--rows", "1")[0] == 2
+        assert run(capsys, "classify", "--graph", fan)[0] == 0
+        assert run(capsys, "corpus", "--enumerate", "0", "--rows", "2")[0] == 2
+        code, out, _ = run(capsys, "classify", "--graph", fan, "--strict")
+        assert code == 0 and out.startswith("graph: 5 vertices")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--max-vars", "4", "--strict"], "the following arguments are required: --rows"),
+            # the subcommand's own flags parse before the unknown one is refused
+            (["invariants", "--rows", "1", "--max-vars", "4"], "unrecognized arguments: --max-vars 4"),
+        ],
+        ids=["missing", "unrecognized"],
+    )
+    def test_a_call_rejected_by_argparse_leaves_the_next_working(self, capsys, graph_file, argv, message):
+        fan = graph_file("fan.txt", FAN_TEXT)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--graph", fan])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert run(capsys, "classify", "--graph", fan)[0] == 0
+        code, out, err = run(capsys, "verify", "--graph", fan, "--rows", "2")
+        assert code == 0 and err == ""
+        assert "depth-vs-oracle: pass (oracle 5, formula 5)" in out
+
+
 class TestVerdicts:
     def test_verdict_of(self):
         assert verdict_of([{"status": "pass"}, {"status": "skipped"}]) == "pass"

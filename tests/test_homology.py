@@ -7,7 +7,7 @@ from itertools import combinations
 from operator import or_
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbei import homology
@@ -130,6 +130,42 @@ def reference_hochster_betti(gens, grid: VarGrid) -> dict[tuple[int, int], int]:
     return entries
 
 
+# the collapse test before its reach masks were precomputed: for each
+# nonface n inside sigma, every nonface inside sigma is rescanned
+
+def reference_dominated_vertex(sigma: int, inside: tuple[int, ...]) -> int:
+    rest = sigma
+    while rest:
+        w = rest & -rest
+        rest ^= w
+        cand = sigma ^ w
+        for n in inside:
+            if not n & w:
+                continue
+            base = n ^ w
+            reach = 0
+            for m in inside:
+                extra = m & ~base
+                if not extra & (extra - 1):
+                    reach |= extra
+            cand &= reach & ~n
+            if not cand:
+                break
+        if cand:
+            return cand & -cand
+    return 0
+
+
+@st.composite
+def antichains(draw) -> tuple[int, ...]:
+    """Minimal nonfaces on at most 10 vertices, singletons (linear
+    generators) included."""
+    n = draw(st.integers(1, 10))
+    supports = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(4, n))
+    masks = draw(st.lists(supports.map(lambda s: sum(1 << v for v in s)), min_size=1, max_size=8))
+    return homology._prune_masks(masks)
+
+
 @pytest.fixture
 def enumerated(monkeypatch) -> list[tuple[int, ...]]:
     """The vertex tuple of each restriction whose faces are enumerated."""
@@ -197,7 +233,7 @@ class TestReducedHomology:
         # of 3 is the edge 01, a cone, so the whole restriction is read off
         # the one to 012, a circle
         k = SimplicialComplex(4, (frozenset({0, 1, 2}), frozenset({2, 3})))
-        assert homology._dominated_vertex(0b1111, (0b0111, 0b1100)) == 0b1000
+        assert homology._dominated_vertex(0b1111, homology._collapse_steps((0b0111, 0b1100))) == 0b1000
         got = reduced_homology_ranks(k, range(4))
         assert got == brute_reduced_homology(k, range(4)) == [0, 0, 1, 0, 0]
         assert enumerated == [(2, 3), (0, 1, 2)]
@@ -268,6 +304,30 @@ class TestUnionClosure:
     def test_fold_gives_the_union_of_every_nonempty_subset(self, masks):
         unions = {reduce(or_, sub) for size in range(1, len(masks) + 1) for sub in combinations(masks, size)}
         assert homology._union_closure(masks) == unions
+
+
+class TestCollapseSteps:
+    @settings(max_examples=300, deadline=None)
+    @given(antichains())
+    def test_same_vertex_as_the_rescan_on_every_union(self, gens):
+        steps = homology._collapse_steps(gens)
+        for sigma in homology._union_closure(gens):
+            inside = tuple(g for g in gens if g & sigma == g)
+            assert homology._dominated_vertex(sigma, steps) == reference_dominated_vertex(sigma, inside), (gens, sigma)
+
+    def test_steps_exclude_the_nonface_and_reach_past_sigma(self):
+        # nonfaces 01 and 12: from 01 with w = 0 the vertex 2 is reachable
+        # (through 12), from 12 with w = 2 the vertex 0 (through 01)
+        steps = homology._collapse_steps((0b011, 0b110))
+        assert steps == {
+            0b001: [(0b011, 0b100)],
+            0b010: [(0b011, 0), (0b110, 0)],
+            0b100: [(0b110, 0b001)],
+        }
+        # on 012 the complex is the edge 02 and the point 1, and 2 is
+        # dominated by 0; on 01 it is two points, and nothing is
+        assert homology._dominated_vertex(0b111, steps) == reference_dominated_vertex(0b111, (0b011, 0b110)) == 0b100
+        assert homology._dominated_vertex(0b011, steps) == reference_dominated_vertex(0b011, (0b011,)) == 0
 
 
 class TestBettiTables:
@@ -429,6 +489,15 @@ class TestHilbert:
             gens = list(initial_ideal(g, rows))
             assert hilbert_check(gens, grid)
             assert hilbert_check(gens, grid, hochster_betti(gens, grid))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_check_passes_on_random_squarefree_ideals(self, data):
+        rows = data.draw(st.integers(2, 6))
+        grid = VarGrid(rows, data.draw(st.integers(1, 12 // rows)))
+        supports = st.sets(st.sampled_from(grid.variables()), min_size=1, max_size=min(5, grid.size))
+        gens = [mono(*s) for s in data.draw(st.lists(supports, max_size=8))]
+        assert hilbert_check(gens, grid, hochster_betti(gens, grid))
 
     def test_check_fails_on_a_corrupted_table(self):
         grid = VarGrid(2, 3)
