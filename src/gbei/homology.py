@@ -369,14 +369,28 @@ def _union_closure(gens) -> set[int]:
     return closure
 
 
+def _by_size(masks) -> list[int]:
+    """The masks ordered by (bit count, value), the order the keyed sort
+    `sorted(masks, key=lambda s: (s.bit_count(), s))` gives: bucketed by
+    bit count, each bucket sorted natively, with no key function."""
+    buckets: dict[int, list[int]] = {}
+    for s in masks:
+        buckets.setdefault(s.bit_count(), []).append(s)
+    ordered: list[int] = []
+    for size in sorted(buckets):
+        ordered.extend(sorted(buckets[size]))
+    return ordered
+
+
 def _restriction_vectors(gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     """Reduced homology ranks over Q of the restriction to sigma, indexed by
     dimension + 1, for each union sigma of the given minimal nonfaces (the
     other restrictions are cones); only nonzero vectors are kept.
 
     The unions are built by a fold over the generators (_union_closure)
-    and visited by increasing size.  Each is settled by the first of three
-    rules that applies, reading smaller unions from the dict:
+    and visited by increasing size (_by_size).  Each is settled by the
+    first of three rules that applies, reading smaller unions from the
+    dict:
 
     - Collapse.  Some v in sigma is dominated (_dominated_vertex, reading
       the masks _collapse_steps builds once for the call): either
@@ -400,7 +414,7 @@ def _restriction_vectors(gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     """
     steps = _collapse_steps(gens)
     vectors: dict[int, tuple[int, ...]] = {}
-    for sigma in sorted(_union_closure(gens), key=lambda s: (s.bit_count(), s)):
+    for sigma in _by_size(_union_closure(gens)):
         v = _dominated_vertex(sigma, steps)
         if v:
             vec = vectors.get(sigma ^ v)

@@ -39,6 +39,7 @@ from .poly import (
     Ideal,
     Monomial,
     Polynomial,
+    Var,
     buchberger,
     monomial_ideal_equal,
 )
@@ -58,16 +59,10 @@ def minor(row_pair: tuple[int, int], col_pair: tuple[int, int]) -> Polynomial:
         raise ValueError(f"rows must be increasing, got {row_pair}")
     if not i < j:
         raise ValueError(f"columns must be increasing, got {col_pair}")
-    return _binomial([], ((k, i), (l, j)), ((k, j), (l, i)))
-
-
-def _binomial(common, lead, tail) -> Polynomial:
-    """common * (lead - tail) for squarefree lead and tail on distinct
-    variables, none of them in `common`: each product is a merge, so each
-    monomial is built as one sorted exponent tuple."""
+    # k < l, so each monomial's exponent tuple is already in variable order
     return Polynomial({
-        Monomial(tuple((v, 1) for v in sorted([*common, *lead]))): 1,
-        Monomial(tuple((v, 1) for v in sorted([*common, *tail]))): -1,
+        Monomial((((k, i), 1), ((l, j), 1))): 1,
+        Monomial((((k, j), 1), ((l, i), 1))): -1,
     })
 
 
@@ -177,28 +172,38 @@ def antitone_maps(path: AdmissiblePath, rows: int) -> tuple[AntitoneMap, ...]:
     return tuple(AntitoneMap(path, v) for v in values)
 
 
-def _basis_element(am: AntitoneMap) -> Polynomial:
+def _basis_element(am: AntitoneMap, shifts: dict[Var, int]) -> tuple[int, tuple[tuple[int, int]]]:
     """The interior variables x[kappa(k), i_k] times the minor on rows
-    kappa(r) < kappa(0) and columns i_0 < i_r.  The path's vertices are
-    distinct columns, so all these variables are distinct."""
+    kappa(r) < kappa(0) and columns i_0 < i_r, packed on a packing with
+    the given field shifts as its monic (lead, ((tail, -1),)) pair.  The
+    path's vertices are distinct columns, so all these variables are
+    distinct and each monomial is a sum of single-exponent fields; the
+    lead is the diagonal x[kappa(r), i_0] * x[kappa(0), i_r].  A variable
+    with no field raises KeyError."""
     verts = am.path.vertices
     values = am.values
     r = len(verts) - 1
-    interior = [(values[k], verts[k]) for k in range(1, r)]
+    interior = sum(1 << shifts[values[k], verts[k]] for k in range(1, r))
     low, high = values[r], values[0]
-    return _binomial(interior, ((low, verts[0]), (high, verts[r])), ((low, verts[r]), (high, verts[0])))
+    lead = interior + (1 << shifts[low, verts[0]]) + (1 << shifts[high, verts[r]])
+    tail = interior + (1 << shifts[low, verts[r]]) + (1 << shifts[high, verts[0]])
+    return lead, ((tail, -1),)
 
 
 class BasisValidationError(RuntimeError):
     """The closed form is not the engine's basis or has a non-squarefree lead."""
 
 
-def _closed_form_basis(g: Graph, rows: int) -> tuple[Polynomial, ...]:
-    """The distinct closed-form elements by decreasing lead (see rauh_basis)."""
-    elements = dict.fromkeys(
-        _basis_element(am) for path in admissible_paths(g) for am in antitone_maps(path, rows)
-    )
-    return tuple(sorted(elements, key=lambda f: f.leading_monomial(), reverse=True))
+def _closed_form_basis(paths, rows: int, packing) -> list[tuple[int, tuple[tuple[int, int]]]]:
+    """The distinct closed-form elements of the admissible `paths` by
+    decreasing lead (see rauh_basis), packed on the engine's `packing`.  A
+    variable outside it is in no defining generator, so no closed form
+    that uses it is the engine's basis: BasisValidationError."""
+    try:
+        elements = {_basis_element(am, packing.shifts) for path in paths for am in antitone_maps(path, rows)}
+    except KeyError as err:
+        raise BasisValidationError(f"closed-form variable {err.args[0]} is in no defining generator") from None
+    return sorted(elements, reverse=True)
 
 
 def rauh_basis(g: Graph, rows: int) -> Ideal:
@@ -210,7 +215,10 @@ def rauh_basis(g: Graph, rows: int) -> Ideal:
     ideal is unique, so the closed form must equal the basis `buchberger`
     computes from the defining minors, otherwise BasisValidationError is
     raised.  That one test covers reducedness, the Groebner property and
-    membership in the ideal.
+    membership in the ideal.  It is made on packed monomials: the closed
+    form is built directly on the engine's packing and compared with the
+    engine's packed elements, so neither side is decoded to Polynomials
+    until an element of the returned ideal's basis is read.
     """
     return Analysis(g, rows).basis
 
@@ -436,11 +444,14 @@ class Analysis:
 
     @cached_property
     def basis(self) -> Ideal:
-        """See rauh_basis.  The closed form is built first, so a graph past
-        the admissible-path cap never reaches the engine."""
-        closed = _closed_form_basis(self.graph, self.rows)
+        """See rauh_basis.  The admissible paths are enumerated first, so a
+        graph past their cap never reaches the engine; the closed form is
+        then packed on the engine's packing and compared element by
+        element with the engine's packed basis."""
+        paths = admissible_paths(self.graph)
         engine = self.ideal.groebner()
-        if closed != engine:
+        closed = _closed_form_basis(paths, self.rows, engine.packing)
+        if tuple(closed) != engine.elements:
             raise BasisValidationError(
                 f"combinatorial basis ({len(closed)} elements) is not the engine's ({len(engine)} elements) "
                 f"for {self.graph!r} with {self.rows} rows"
@@ -474,7 +485,7 @@ def initial_ideal_commutes_with_columns(g: Graph, rows: int, cols) -> bool:
     col_vars = [(i, j) for j in cols for i in range(1, rows + 1)]
     extended = list(gbei_generators(g, rows).generators)
     extended.extend(Polynomial.variable(v) for v in col_vars)
-    lhs = [f.leading_monomial() for f in buchberger(extended)]
+    lhs = buchberger(extended).leads()
     rhs = list(initial_ideal(g, rows))
     rhs.extend(Monomial.of(v) for v in col_vars)
     return monomial_ideal_equal(lhs, rhs)

@@ -20,15 +20,18 @@ can be compared verbatim and frozen into golden tests.
 
 Monomial and Polynomial are the types at the edges.  The Buchberger
 kernel (buchberger, normal_form, s_polynomial, is_groebner_basis) packs
-the monomials of its arguments into plain ints on entry and decodes its
-result once, on exit.  Each variable the arguments use gets a field of
-_FIELD_BITS bits, and the most significant variable the most significant
-field.  An exponent never reaches the top bit of its field, the guard
-bit, so comparing two packed monomials as ints compares their exponents
-variable by variable from the most significant one down: int order is
-exactly the lex order above.  With G the mask of every guard bit, L the
-lowest bit of every field and W the field width, no operation carries or
-borrows across a field boundary:
+the monomials of its arguments into plain ints on entry.  normal_form and
+s_polynomial decode their result on exit; buchberger returns its basis
+still packed, as a GroebnerBasis that decodes its Polynomials on first
+use and its leads alone on request, so a caller that compares packed
+elements or reads leads never builds a Polynomial.  Each variable the
+arguments use gets a field of _FIELD_BITS bits, and the most significant
+variable the most significant field.  An exponent never reaches the top
+bit of its field, the guard bit, so comparing two packed monomials as
+ints compares their exponents variable by variable from the most
+significant one down: int order is exactly the lex order above.  With G
+the mask of every guard bit, L the lowest bit of every field and W the
+field width, no operation carries or borrows across a field boundary:
 
     product     a + b; a guard bit set in the sum means an exponent
                 outgrew its field, which raises SizeCap rather than wrap
@@ -44,8 +47,9 @@ borrows across a field boundary:
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop
 
 from .graphs import SizeCap
 
@@ -486,9 +490,9 @@ def _s_pair(packing: _Packing, f, g, l: int) -> dict[int, int | Fraction]:
 
 def _skip_pair(packing: _Packing, leads: list[int], i: int, j: int, l: int, done: set[tuple[int, int]]) -> bool:
     """Whether the S-pair (i, j), i < j, whose leads have lcm l, may be
-    dropped: its leads are coprime, or (chain criterion, Gebauer-Moeller
-    1988) some other lead divides l and both of its pairs with i and j
-    are in `done`."""
+    dropped by is_groebner_basis, which visits every pair once: its leads
+    are coprime, or (chain criterion) some other lead divides l and both
+    of its pairs with i and j are in `done`."""
     if packing.coprime(leads[i], leads[j]):
         return True
     guard = packing.guard
@@ -505,9 +509,14 @@ def _interreduce(packing: _Packing, basis: list) -> list:
     basis, by decreasing lead."""
     # drop elements whose lead is divisible by another retained lead;
     # ascending sort means any proper divisor was seen first
+    guard = packing.guard
     kept: list = []
     for d in sorted(basis, key=lambda d: d[0]):
-        if not any(packing.divides(k, d[0]) for k, _ in kept):
+        top = d[0] | guard
+        for k, _ in kept:
+            if (top - k) & guard == guard:  # packing.divides(k, d[0]), inlined
+                break
+        else:
             kept.append(d)
     # tail-reduce each element against all the others; no tail term is
     # divisible by its own lead, and the lead by no other lead
@@ -537,16 +546,84 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return packing.polynomial(_s_pair(packing, a, b, packing.lcm(a[0], b[0])))
 
 
-def buchberger(gens) -> tuple[Polynomial, ...]:
+class GroebnerBasis(Sequence):
+    """A reduced Groebner basis as the kernel leaves it: monic (lead, tail)
+    elements on one packing, by decreasing lead.  It reads as the tuple of
+    its Polynomials, decoded on first use; its length and its leads need no
+    decoding, and `elements` can be compared with other elements packed on
+    `packing`."""
+
+    __slots__ = ("packing", "elements", "_polys")
+
+    def __init__(self, packing: _Packing, elements, polys: tuple[Polynomial, ...] | None = None):
+        self.packing = packing
+        self.elements = tuple(elements)
+        self._polys = polys
+
+    @staticmethod
+    def of(polys) -> "GroebnerBasis":
+        """A reduced basis given as Polynomials, packed; they are kept, so
+        nothing is decoded again."""
+        polys = tuple(polys)
+        packing = _Packing(polys)
+        return GroebnerBasis(packing, [_divisor(packing.pack(f)) for f in polys], polys)
+
+    def polynomials(self) -> tuple[Polynomial, ...]:
+        if self._polys is None:
+            self._polys = tuple(self.packing.element(d) for d in self.elements)
+        return self._polys
+
+    def leads(self) -> tuple[Monomial, ...]:
+        """The leading monomials, decoded alone."""
+        return tuple(self.packing.monomial(lead) for lead, _ in self.elements)
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __getitem__(self, index):
+        return self.polynomials()[index]
+
+    def __iter__(self):
+        return iter(self.polynomials())
+
+    def __eq__(self, other):
+        if isinstance(other, GroebnerBasis):
+            other = other.polynomials()
+        return self.polynomials() == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self):
+        return repr(self.polynomials())
+
+
+def buchberger(gens) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
-    Classic Buchberger loop with the normal selection strategy (pairs with
-    the smallest lcm first) plus the coprimality and chain criteria.  The
-    pair queue is a heap keyed once per pair, when the pair is created, on
-    (lcm degree, lcm, i, j); the keys are unique, so pairs are popped in
-    exactly the normal-selection order.  The loop runs on packed monomials
-    and decodes the result once.  The result is the unique reduced basis,
-    monic and sorted by decreasing leading monomial.
+    Buchberger's loop with the normal selection strategy (pairs with the
+    smallest lcm first) and the pair update of Gebauer and Moeller (*On an
+    installation of Buchberger's algorithm*, 1988), applied once for each
+    element h added, generators included, with lead t:
+
+    - a new pair (g, h) is never queued when the leads of g and h are
+      coprime (its S-polynomial reduces to zero), nor when the lcm of
+      another new pair divides its lcm properly (criterion M) or equals it
+      (criterion F: of equal lcms a coprime pair is taken first, then the
+      earliest g).  The candidates are taken by increasing packed lcm, and
+      a divisor never packs to the larger int, so each is tested against
+      the lcms taken before it, coprime ones included;
+    - a queued pair (a, b) is dropped when t divides its lcm l and l is
+      neither lcm(a, h) nor lcm(b, h) (criterion B): l is then a proper
+      multiple of both, and the pairs (a, h) and (h, b) cover (a, b).
+
+    The new pairs are formed with the non-redundant elements only: those
+    whose lead no later lead divides.  S-polynomials are reduced against
+    that set, which is a complete reduction, because every redundant lead
+    is a multiple of a kept one, and the result is interreduced from it.
+    Each pair's lcm is computed once, when its later element is added; the
+    queue is a heap keyed on (lcm degree, lcm, i, j), heapified again after
+    each update; the keys are unique, so the pop order is the
+    normal-selection order.  The loop runs on packed monomials and returns
+    the unique reduced basis, monic and by decreasing leading monomial,
+    still packed (see GroebnerBasis).
 
     A field's weight 2^(kW) is 1 modulo 2^W - 1, so a packed monomial is
     its degree modulo 2^W - 1; an lcm's degree is at most the sum of its
@@ -554,36 +631,53 @@ def buchberger(gens) -> tuple[Polynomial, ...]:
     the remainder, and only past it is the per-field loop needed.
     """
     polys = [f for f in gens if f]
-    if not polys:
-        return ()
     packing = _Packing(polys)
-    basis = [_divisor(packing.pack(f)) for f in polys]
-    leads = [lead for lead, _ in basis]
-    degrees = [packing.degree(lead) for lead in leads]
+    guard, lcm = packing.guard, packing.lcm
     modulus = (1 << packing.width) - 1
-    done: set[tuple[int, int]] = set()
+    basis: list = []
+    leads: list[int] = []
+    degrees: list[int] = []
+    kept: list[int] = []  # the non-redundant elements, by index
+    reducers: list = []
+    pairs: list = []
 
-    def pair_key(i, j):
-        l = packing.lcm(leads[i], leads[j])
-        degree = l % modulus if degrees[i] + degrees[j] < modulus else packing.degree(l)
-        return (degree, l, i, j)
+    def update(element):
+        t, lead, degree = len(basis), element[0], packing.degree(element[0])
+        lcms = [lcm(a, lead) for a in leads]
+        # criterion B: the lead divides l (packing.divides, inlined) and l is
+        # the lcm of neither new pair of the pair's elements
+        queue = [
+            p for p in pairs
+            if ((p[1] | guard) - lead) & guard != guard or lcms[p[2]] == p[1] or lcms[p[3]] == p[1]
+        ]
+        minimal: list[int] = []
+        for l, not_coprime, k in sorted([(lcms[k], lcms[k] != leads[k] + lead, k) for k in kept]):
+            top = l | guard
+            for m in minimal:  # criteria M and F
+                if (top - m) & guard == guard:
+                    break
+            else:
+                minimal.append(l)
+                if not_coprime:
+                    d = l % modulus if degrees[k] + degree < modulus else packing.degree(l)
+                    queue.append((d, l, k, t))
+        heapify(queue)
+        pairs[:] = queue
+        basis.append(element)
+        leads.append(lead)
+        degrees.append(degree)
+        kept[:] = [k for k in kept if ((leads[k] | guard) - lead) & guard != guard]
+        kept.append(t)
+        reducers[:] = [basis[k] for k in kept]
 
-    pairs = [pair_key(i, j) for j in range(len(basis)) for i in range(j)]
-    heapify(pairs)
+    for f in polys:
+        update(_divisor(packing.pack(f)))
     while pairs:
         _, l, i, j = heappop(pairs)
-        done.add((i, j))
-        if _skip_pair(packing, leads, i, j, l, done):
-            continue
-        h = _reduce(packing, _s_pair(packing, basis[i], basis[j], l), basis)
+        h = _reduce(packing, _s_pair(packing, basis[i], basis[j], l), reducers)
         if h:
-            basis.append(_divisor(h))
-            leads.append(basis[-1][0])
-            degrees.append(packing.degree(leads[-1]))
-            t = len(basis) - 1
-            for k in range(t):
-                heappush(pairs, pair_key(k, t))
-    return tuple(packing.element(d) for d in _interreduce(packing, basis))
+            update(_divisor(h))
+    return GroebnerBasis(packing, _interreduce(packing, reducers))
 
 
 def is_groebner_basis(basis) -> bool:
@@ -627,17 +721,20 @@ def is_reduced_basis(basis) -> bool:
 class Ideal:
     """An ideal given by generators, with a lazily cached reduced basis.
 
-    Instances are treated as immutable; the cache is written at most once.
-    Equality of the mathematical ideals is `ideal_equal`, not `==`.
+    The cache holds the basis as the kernel packed it, so its Polynomials
+    are decoded only when an element is first read, and its leads alone
+    for the initial ideal.  Instances are treated as immutable; the cache
+    is written at most once.  Equality of the mathematical ideals is
+    `ideal_equal`, not `==`.
     """
 
     __slots__ = ("generators", "_gb")
 
     def __init__(self, generators, groebner=None):
         self.generators = tuple(g for g in generators if g)
-        self._gb = tuple(groebner) if groebner is not None else None
+        self._gb = GroebnerBasis.of(groebner) if groebner is not None else None
 
-    def groebner(self) -> tuple[Polynomial, ...]:
+    def groebner(self) -> GroebnerBasis:
         if self._gb is None:
             self._gb = buchberger(self.generators)
         return self._gb
@@ -645,7 +742,7 @@ class Ideal:
     def initial_monomials(self) -> tuple[Monomial, ...]:
         """Leading monomials of the reduced basis: the initial ideal's
         minimal generators."""
-        return tuple(g.leading_monomial() for g in self.groebner())
+        return self.groebner().leads()
 
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators)"

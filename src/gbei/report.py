@@ -118,7 +118,7 @@ def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, la
     closed = None
     with _lap(laps, "basis"):
         try:
-            size = len(analysis.basis.groebner())
+            size = len(analysis.basis.groebner())  # the packed basis: nothing is decoded
         except BasisValidationError as err:
             no_basis = "skipped: basis construction failed"
             basis_checks = [

@@ -24,8 +24,8 @@ from gbei.report import (
 )
 from gbei.graphs import Graph, SizeCap, cut_set_census, enumerate_connected_graphs
 from gbei.homology import SimplicialComplex, hochster_betti, reduced_homology_ranks
-from gbei.ideals import Analysis, admissible_paths, minor
-from gbei.poly import Polynomial, VarGrid
+from gbei.ideals import Analysis, AntitoneMap, admissible_paths, minor
+from gbei.poly import VarGrid
 
 from conftest import C4, FAN, P3, P5
 
@@ -229,7 +229,7 @@ class TestVerify:
         assert code == 3
 
     def test_a_basis_error_that_is_no_size_cap_is_not_a_skip(self, capsys, graph_file, monkeypatch):
-        def equal_rows(am):
+        def equal_rows(am, shifts):
             v0 = am.values[0]
             return minor((v0, v0), (am.path.start, am.path.end))
 
@@ -262,7 +262,7 @@ class TestVerify:
 
     def test_failed_basis_self_check_is_a_failure_not_a_crash(self, capsys, graph_file, monkeypatch):
         # an empty closed form cannot equal the engine's reduced basis
-        monkeypatch.setattr("gbei.ideals._closed_form_basis", lambda g, rows: ())
+        monkeypatch.setattr("gbei.ideals._closed_form_basis", lambda paths, rows, packing: [])
         path = graph_file("p3.txt", "3\n1 2\n2 3\n")
         code, out, err = run(capsys, "verify", "--graph", path, "--rows", "2", "--json")
         assert code == 1 and err == ""
@@ -282,10 +282,9 @@ class TestVerify:
         comparison with the engine's reduced basis sees it."""
         real = gbei.ideals._basis_element
 
-        def flipped(am):
-            f = real(am)
-            lead = f.leading_monomial()
-            return Polynomial({m: c if m == lead else -c for m, c in f.terms.items()})
+        def flipped(am, shifts):
+            lead, tail = real(am, shifts)
+            return lead, tuple((m, -c) for m, c in tail)
 
         monkeypatch.setattr(gbei.ideals, "_basis_element", flipped)
         checks = {c["name"]: c["status"] for c in verify_report(P3, 2)["verification"]["checks"]}
@@ -296,6 +295,38 @@ class TestVerify:
             "squarefree-initial": "fail",
             "prime-intersection": "pass",
         }
+
+    def test_a_closed_form_variable_outside_the_generators_fails_the_cross_check(
+        self, capsys, graph_file, monkeypatch
+    ):
+        """Rows shifted up by one reach a row no defining minor uses, so the
+        variable has no field in the engine's packing: a failed check, not
+        a KeyError."""
+        real = gbei.ideals._basis_element
+
+        def shifted(am, shifts):
+            return real(AntitoneMap(am.path, tuple(v + 1 for v in am.values)), shifts)
+
+        monkeypatch.setattr(gbei.ideals, "_basis_element", shifted)
+        path = graph_file("p3.txt", "3\n1 2\n2 3\n")
+        code, out, err = run(capsys, "verify", "--graph", path, "--rows", "2", "--json")
+        assert code == 1 and err == ""
+        checks = {c["name"]: (c["status"], c["detail"]) for c in json.loads(out)["verification"]["checks"]}
+        assert checks["groebner-cross-check"] == ("fail", "closed-form variable (3, 2) is in no defining generator")
+        assert checks["squarefree-initial"] == ("fail", "basis construction failed")
+
+    @pytest.mark.parametrize(
+        "text, size",
+        [("3\n", 0), ("1\n", 0), ("4\n1 2\n2 3\n", 2)],
+        ids=["edgeless", "K1", "P3+K1"],
+    )
+    def test_graphs_with_isolated_vertices_pass_the_cross_check(self, capsys, graph_file, text, size):
+        """An isolated vertex has no variable in any generator, and no
+        closed-form element uses it."""
+        code, out, err = run(capsys, "verify", "--graph", graph_file("g.txt", text), "--rows", "2")
+        assert code == 0 and err == ""
+        assert f"groebner-cross-check: pass (closed form equals the engine's reduced basis: {size} vs {size} elements)" in out
+        assert "squarefree-initial: pass (all engine lead monomials squarefree)" in out
 
     def test_a_non_squarefree_initial_ideal_fails_only_its_own_check(self, monkeypatch):
         monkeypatch.setattr(gbei.poly.Monomial, "is_squarefree", lambda self: False)

@@ -305,6 +305,12 @@ class TestUnionClosure:
         unions = {reduce(or_, sub) for size in range(1, len(masks) + 1) for sub in combinations(masks, size)}
         assert homology._union_closure(masks) == unions
 
+    @settings(max_examples=200, deadline=None)
+    @given(antichains())
+    def test_unions_by_size_in_the_order_of_the_keyed_sort(self, gens):
+        unions = homology._union_closure(gens)
+        assert homology._by_size(unions) == sorted(unions, key=lambda s: (s.bit_count(), s))
+
 
 class TestCollapseSteps:
     @settings(max_examples=300, deadline=None)

@@ -32,6 +32,8 @@ from gbei.poly import (
     Ideal,
     Monomial,
     Polynomial,
+    VarGrid,
+    _Packing,
     buchberger,
     ideal_equal,
     intersect,
@@ -107,6 +109,12 @@ def reference_basis_element(am: AntitoneMap) -> Polynomial:
     r = len(verts) - 1
     coeff = Monomial.make({(values[k], verts[k]): 1 for k in range(1, r)})
     return reference_minor((values[r], values[0]), (verts[0], verts[r])).scaled(1, coeff)
+
+
+def grid_packing(n: int, rows: int):
+    """The kernel's packing with a field for every variable of the
+    rows x n grid."""
+    return _Packing([Polynomial.variable(v) for v in VarGrid(rows, n).variables()])
 
 
 def labeled_graphs(n: int):
@@ -269,7 +277,8 @@ class TestRauhBasis:
         """An independent route to the same fact: every S-polynomial of the
         closed form reduces to zero against it, and it is reduced."""
         for g, rows in ((P3, 2), (CHERRY, 3), (C4, 2), (K3, 3), (STAR, 2)):
-            closed = _closed_form_basis(g, rows)
+            packing = grid_packing(g.n, rows)
+            closed = [packing.element(d) for d in _closed_form_basis(admissible_paths(g), rows, packing)]
             assert is_groebner_basis(closed), (g, rows)
             assert is_reduced_basis(closed), (g, rows)
 
@@ -284,8 +293,10 @@ class TestRauhBasis:
             for g in enumerate_connected_graphs(n):
                 for path in admissible_paths(g):
                     for rows in (2, 3, 4):
+                        packing = grid_packing(n, rows)
                         for am in antitone_maps(path, rows):
-                            got, want = _basis_element(am), reference_basis_element(am)
+                            got = packing.element(_basis_element(am, packing.shifts))
+                            want = reference_basis_element(am)
                             assert got.sorted_terms() == want.sorted_terms(), am
                             assert {type(c) for c in got.terms.values()} == {int}, am
 

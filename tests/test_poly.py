@@ -232,9 +232,10 @@ class TestBuchberger:
 
 
 class TestPairCriteria:
-    """The coprimality and chain criteria decide which S-polynomials are
-    formed.  A criterion that pruned differently would still reach the same
-    reduced basis, so the number formed is pinned on fixed inputs."""
+    """The Gebauer-Moeller criteria in `buchberger`, and the coprimality
+    and chain criteria in `is_groebner_basis`, decide which S-polynomials
+    are formed.  A criterion that pruned differently would still reach the
+    same reduced basis, so the number formed is pinned on fixed inputs."""
 
     def test_buchberger_on_k4_with_three_rows(self, s_pairs):
         gb = buchberger(gbei_generators(K4, 3).generators)
@@ -249,9 +250,10 @@ class TestPairCriteria:
         assert len(s_pairs) == 52
 
 
-# The Buchberger loop on Monomial and Polynomial, as the engine ran before
-# it packed monomials into ints: the reference the packed kernel is
-# compared against, pair by pair.
+# The Buchberger loop on Monomial and Polynomial, in two forms: the one the
+# engine ran before it packed monomials, with the chain criterion checked
+# at each pop, and the Gebauer-Moeller update the packed kernel runs now,
+# the reference it is compared against pair by pair.
 
 def reference_normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by `basis`: the largest remaining term
@@ -350,25 +352,79 @@ def reference_buchberger(gens, formed: list | None = None) -> tuple[Polynomial, 
     return reference_interreduce(basis)
 
 
+def reference_gebauer_moeller(gens, formed: list | None = None) -> tuple[Polynomial, ...]:
+    """Reference: Becker and Weispfenning's UPDATE (Gebauer-Moeller) on
+    Monomial, applied to each generator in turn and to each nonzero
+    remainder, with each pair picked by a `min` over every pending pair and
+    reduced against the non-redundant elements.  The new pairs are visited
+    from the latest element down, so of several with one lcm the one with
+    the earliest element is kept.  Each S-pair formed is appended to
+    `formed` as its two monic elements."""
+    basis: list[Polynomial] = []
+    leads: list[Monomial] = []
+    active: list[int] = []
+    pairs: set[tuple[int, int]] = set()
+
+    def lcm(p):
+        return leads[p[0]].lcm(leads[p[1]])
+
+    def update(h):
+        t, lt = len(basis), h.leading_monomial()
+        basis.append(h)
+        leads.append(lt)
+        waiting = [(k, t) for k in sorted(active, reverse=True)]
+        chosen = []
+        while waiting:
+            p = waiting.pop(0)
+            if leads[p[0]].coprime(lt) or not any(lcm(q).divides(lcm(p)) for q in waiting + chosen):
+                chosen.append(p)
+        for i, j in list(pairs):
+            l = lcm((i, j))
+            if lt.divides(l) and leads[i].lcm(lt) != l and leads[j].lcm(lt) != l:
+                pairs.discard((i, j))
+        pairs.update(p for p in chosen if not leads[p[0]].coprime(lt))
+        active[:] = [k for k in active if not lt.divides(leads[k])] + [t]
+
+    for f in gens:
+        if f:
+            update(f.monic())
+    while pairs:
+        i, j = min(pairs, key=lambda p: (lcm(p).degree, lcm(p), *p))
+        pairs.discard((i, j))
+        if formed is not None:
+            formed.append((basis[i], basis[j]))
+        h = reference_normal_form(reference_s_polynomial(basis[i], basis[j]), [basis[k] for k in active])
+        if h:
+            update(h.monic())
+    return reference_interreduce([basis[k] for k in active])
+
+
+def elimination_ideal_pair():
+    """The two minimal primes of the star whose intersection the
+    elimination tests compute."""
+    primes = minimal_primes(STAR, 2)
+    return primes[0].ideal, primes[1].ideal
+
+
 class TestPairQueue:
-    """The heap pops the pairs in the order of the `min`-based reference, so
-    the same S-polynomials are formed in the same order."""
+    """The heap pops the pairs the update keeps in the order of the
+    `min`-based Gebauer-Moeller reference, so the same S-polynomials are
+    formed in the same order."""
 
     @pytest.mark.parametrize("rows", [3, 4])
     def test_same_s_pairs_in_the_same_order_on_k4(self, s_pairs, rows):
         gens = gbei_generators(K4, rows).generators
         reference = []
-        want = reference_buchberger(gens, reference)
+        want = reference_gebauer_moeller(gens, reference)
         assert buchberger(gens) == want
         assert s_pairs == reference
         assert reference
 
     def test_same_s_pairs_in_the_same_order_on_an_elimination_ideal(self, s_pairs, monkeypatch):
-        primes = minimal_primes(STAR, 2)
-        a, b = primes[0].ideal, primes[1].ideal
+        a, b = elimination_ideal_pair()
         reference = []
         with monkeypatch.context() as patch:
-            patch.setattr(gbei.poly, "buchberger", partial(reference_buchberger, formed=reference))
+            patch.setattr(gbei.poly, "buchberger", partial(reference_gebauer_moeller, formed=reference))
             want = intersect(a, b).groebner()
         assert intersect(a, b).groebner() == want
         assert s_pairs == reference
@@ -376,23 +432,17 @@ class TestPairQueue:
 
     def test_each_pair_lcm_is_computed_once(self, monkeypatch):
         # the min-based reference makes 199,101 lcm calls here; the kernel
-        # computes each pair's lcm once, for its heap key, and hands it on
-        # to the criteria and the S-pair
-        seen = []
-        real = gbei.poly._Packing.lcm
-
-        def recording(self, a, b):
-            seen.append((a, b))
-            return real(self, a, b)
-
+        # computes the lcm of each element's lead with every earlier lead
+        # once, when the later element is added, and hands it on to the
+        # criteria, the heap key and the S-pair
+        seen, added = [], []
+        lcm, divisor = gbei.poly._Packing.lcm, gbei.poly._divisor
+        monkeypatch.setattr(gbei.poly._Packing, "lcm", lambda self, a, b: seen.append((a, b)) or lcm(self, a, b))
+        monkeypatch.setattr(gbei.poly, "_divisor", lambda terms: added.append(max(terms)) or divisor(terms))
         gens = gbei_generators(K4, 4).generators
-        monkeypatch.setattr(gbei.poly._Packing, "lcm", recording)
-        gb = buchberger(gens)
-        assert len(gb) == 36
-        # one call per pair of the elements the run ever held, none repeated
-        n = round((2 * len(seen)) ** 0.5) + 1
-        assert n * (n - 1) // 2 == len(seen) == len(set(seen))
-        assert n >= len(gens) == 36
+        assert len(buchberger(gens)) == 36
+        assert seen == [(a, b) for t, b in enumerate(added) for a in added[:t]]
+        assert len(added) >= len(gens) == 36
 
 
 # random inputs for the packed kernel: the elimination variable and a
@@ -465,17 +515,19 @@ binomials = st.builds(
 
 
 class TestAgainstTheReference:
-    """The packed kernel forms the S-pairs of the Monomial reference in the
-    same order and returns the same basis, on random inputs."""
+    """The packed kernel forms the S-pairs of the Gebauer-Moeller reference
+    in the same order and returns the same basis as both references, on
+    random inputs."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(grid_minors | binomials, min_size=2, max_size=4))
     def test_minors_and_binomials(self, gens):
         reference, formed = [], []
-        want = reference_buchberger(gens, reference)
+        want = reference_gebauer_moeller(gens, reference)
         with mock.patch.object(gbei.poly, "_s_pair", recording_s_pairs(formed)):
             assert buchberger(gens) == want
         assert formed == reference
+        assert want == reference_buchberger(gens)
         assert is_groebner_basis(want) and is_reduced_basis(want)
 
     @settings(max_examples=15, deadline=None)
@@ -558,9 +610,10 @@ def degree_calls(monkeypatch) -> tuple[list, list]:
 
 
 class TestPairDegree:
-    """A pair's lcm degree is its packed key modulo 2^W - 1 while the two
-    leads' degrees sum below that; past it the per-field loop is used.
-    Either way the heap keys, and so the S-pair order, are the reference's."""
+    """A queued pair's lcm degree is its packed key modulo 2^W - 1 while
+    the two leads' degrees sum below that; past it the per-field loop is
+    used.  Either way the heap keys, and so the S-pair order, are those of
+    the Gebauer-Moeller reference."""
 
     def test_one_degree_loop_per_element_at_the_default_width(self, monkeypatch):
         seen, held = degree_calls(monkeypatch)
@@ -570,13 +623,36 @@ class TestPairDegree:
     def test_the_loop_past_the_modulus_keeps_the_reference_order(self, s_pairs, monkeypatch):
         gens = gbei_generators(ZIGZAG, 2).generators
         reference = []
-        want = reference_buchberger(gens, reference)
+        want = reference_gebauer_moeller(gens, reference)
         monkeypatch.setattr(gbei.poly, "_FIELD_BITS", 3)
         seen, held = degree_calls(monkeypatch)
         assert buchberger(gens) == want
         assert s_pairs == reference
         # one call per element, and the fallback for some pair
         assert len(seen) > len(held)
+
+
+class TestAgainstTheChainCriterion:
+    """The Gebauer-Moeller update reaches the reduced basis of the loop that
+    checked the chain criterion at each pop, and forms no more S-pairs."""
+
+    @pytest.mark.parametrize(
+        "g, rows", [(K4, 3), (K4, 4), (ZIGZAG, 2)], ids=["K4x3", "K4x4", "ZIGZAG"]
+    )
+    def test_same_basis_and_no_more_s_pairs(self, s_pairs, g, rows):
+        gens = gbei_generators(g, rows).generators
+        chain = []
+        assert buchberger(gens) == reference_buchberger(gens, chain)
+        assert 0 < len(s_pairs) <= len(chain)
+
+    def test_same_basis_and_no_more_s_pairs_on_an_elimination_ideal(self, s_pairs, monkeypatch):
+        a, b = elimination_ideal_pair()
+        chain = []
+        with monkeypatch.context() as patch:
+            patch.setattr(gbei.poly, "buchberger", partial(reference_buchberger, formed=chain))
+            want = intersect(a, b).groebner()
+        assert intersect(a, b).groebner() == want
+        assert 0 < len(s_pairs) <= len(chain)
 
 
 class TestIdealOps:
