@@ -71,45 +71,6 @@ def _prune_masks(masks) -> tuple[int, ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Complex on vertices 0..vertex_count-1, given by its minimal nonfaces.
-
-    A set is a face exactly when it contains no nonface; faces are never
-    materialized, membership is answered on demand.
-    """
-
-    vertex_count: int
-    nonfaces: tuple[frozenset[int], ...]
-
-    def is_face(self, vertices) -> bool:
-        s = frozenset(vertices)
-        for v in s:
-            if not (0 <= v < self.vertex_count):
-                raise ValueError(f"vertex {v} outside 0..{self.vertex_count - 1}")
-        return not any(nf <= s for nf in self.nonfaces)
-
-    def _nonface_masks(self) -> tuple[int, ...]:
-        out = []
-        for nf in self.nonfaces:
-            mask = 0
-            for v in nf:
-                mask |= 1 << v
-            out.append(mask)
-        return tuple(out)
-
-
-def stanley_reisner(gens, grid: VarGrid) -> SimplicialComplex:
-    """The complex on the grid's variables whose minimal nonfaces are the
-    generator supports.  Generators must be squarefree; non-minimal ones
-    are pruned."""
-    masks = _prune_masks(_support_mask(m, grid) for m in gens)
-    nonfaces = tuple(
-        frozenset(v for v in range(grid.size) if mask >> v & 1) for mask in masks
-    )
-    return SimplicialComplex(vertex_count=grid.size, nonfaces=nonfaces)
-
-
 # ---------------------------------------------------------------------------
 # exact rank of sparse integer matrices
 
@@ -432,26 +393,6 @@ def _restriction_vectors(gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     return vectors
 
 
-def reduced_homology_ranks(k: SimplicialComplex, restrict_to) -> list[int]:
-    """Ranks of reduced homology of the induced subcomplex on `restrict_to`,
-    over the rationals, listed for dimensions -1 .. |restrict_to| - 1."""
-    s = frozenset(restrict_to)
-    for v in s:
-        if not (0 <= v < k.vertex_count):
-            raise ValueError(f"vertex {v} outside 0..{k.vertex_count - 1}")
-    if len(s) > MAX_ORACLE_VARS:
-        raise SizeCap(f"restriction to {len(s)} vertices is past the intended scale")
-    sigma = 0
-    for v in s:
-        sigma |= 1 << v
-    inside = tuple(g for g in _prune_masks(k._nonface_masks()) if g & sigma == g)
-    # the restriction to the empty set is the complex {empty face}
-    vec = list(_restriction_vectors(inside).get(sigma, ())) if sigma else [1]
-    # pad: dimensions above the top face size have rank 0
-    vec.extend(0 for _ in range(len(s) + 1 - len(vec)))
-    return vec[: len(s) + 1]
-
-
 # ---------------------------------------------------------------------------
 # Hochster's formula
 
@@ -511,7 +452,7 @@ def hochster_betti(gens, grid: VarGrid) -> BettiTable:
     n = grid.size
     if n > MAX_ORACLE_VARS:
         raise SizeCap(f"{n} variables exceeds the oracle cap of {MAX_ORACLE_VARS}")
-    masks = _prune_masks(_support_mask(m, grid) for m in gens) if gens else ()
+    masks = _prune_masks(_support_mask(m, grid) for m in gens)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     for sigma, vec in _restriction_vectors(masks).items():
         size = sigma.bit_count()
@@ -525,16 +466,6 @@ def hochster_betti(gens, grid: VarGrid) -> BettiTable:
     return BettiTable(ambient=n, entries=entries)
 
 
-def depth_of_quotient(gens, grid: VarGrid) -> int:
-    """depth(S/I) = ambient variable count minus projective dimension."""
-    return hochster_betti(gens, grid).depth()
-
-
-def regularity_of_quotient(gens, grid: VarGrid) -> int:
-    """reg(S/I) = max j - i over nonzero beta_{i,j}."""
-    return hochster_betti(gens, grid).regularity()
-
-
 # ---------------------------------------------------------------------------
 # Hilbert series consistency
 
@@ -543,7 +474,7 @@ def hilbert_numerator(gens, grid: VarGrid) -> dict[int, int]:
     inclusion-exclusion over joint supports of generator subsets: each
     subset A contributes (-1)^|A| t^(size of union of supports).  Computed
     as a union-mask dynamic program, so duplicate unions collapse."""
-    masks = _prune_masks(_support_mask(m, grid) for m in gens) if gens else ()
+    masks = _prune_masks(_support_mask(m, grid) for m in gens)
     acc: dict[int, int] = {0: 1}
     for g in masks:
         nxt = dict(acc)

@@ -462,7 +462,7 @@ class Analysis:
     def initial_ideal(self) -> tuple[Monomial, ...]:
         """See initial_ideal; raises BasisValidationError on a
         non-squarefree lead."""
-        leads = self.basis.initial_monomials()
+        leads = self.basis.groebner().leads()
         for m in leads:
             if not m.is_squarefree():
                 raise BasisValidationError(f"initial ideal generator {m} is not squarefree")

@@ -488,22 +488,6 @@ def _s_pair(packing: _Packing, f, g, l: int) -> dict[int, int | Fraction]:
     return work
 
 
-def _skip_pair(packing: _Packing, leads: list[int], i: int, j: int, l: int, done: set[tuple[int, int]]) -> bool:
-    """Whether the S-pair (i, j), i < j, whose leads have lcm l, may be
-    dropped by is_groebner_basis, which visits every pair once: its leads
-    are coprime, or (chain criterion) some other lead divides l and both
-    of its pairs with i and j are in `done`."""
-    if packing.coprime(leads[i], leads[j]):
-        return True
-    guard = packing.guard
-    top = l | guard
-    for k, lk in enumerate(leads):
-        if (top - lk) & guard == guard and k != i and k != j:  # packing.divides(lk, l), inlined
-            if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
-                return True
-    return False
-
-
 def _interreduce(packing: _Packing, basis: list) -> list:
     """Turn a Groebner basis of monic divisors into the reduced Groebner
     basis, by decreasing lead."""
@@ -681,22 +665,19 @@ def buchberger(gens) -> GroebnerBasis:
 
 
 def is_groebner_basis(basis) -> bool:
-    """Buchberger criterion: every S-polynomial of the set reduces to zero.
+    """Buchberger's criterion as defined: the S-polynomial of every pair
+    whose leads are not coprime reduces to zero against the whole set.
 
-    Pairs dismissed by the coprimality or chain criterion are skipped, which
-    never changes the verdict.
+    No other pair is dropped, so the verdict does not lean on the pair
+    update that buchberger runs.
     """
     polys = [g for g in basis if g]
     packing = _Packing(polys)
     divisors = [_divisor(packing.pack(g)) for g in polys]
-    leads = [lead for lead, _ in divisors]
-    done: set[tuple[int, int]] = set()
-    for j in range(len(divisors)):
-        for i in range(j):
-            done.add((i, j))
-            l = packing.lcm(leads[i], leads[j])
-            if not _skip_pair(packing, leads, i, j, l, done) and _reduce(
-                packing, _s_pair(packing, divisors[i], divisors[j], l), divisors
+    for j, g in enumerate(divisors):
+        for f in divisors[:j]:
+            if not packing.coprime(f[0], g[0]) and _reduce(
+                packing, _s_pair(packing, f, g, packing.lcm(f[0], g[0])), divisors
             ):
                 return False
     return True
@@ -739,17 +720,8 @@ class Ideal:
             self._gb = buchberger(self.generators)
         return self._gb
 
-    def initial_monomials(self) -> tuple[Monomial, ...]:
-        """Leading monomials of the reduced basis: the initial ideal's
-        minimal generators."""
-        return self.groebner().leads()
-
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators)"
-
-
-def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
-    return not normal_form(f, ideal.groebner())
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:

@@ -23,7 +23,7 @@ from gbei.report import (
     verify_report,
 )
 from gbei.graphs import Graph, SizeCap, cut_set_census, enumerate_connected_graphs
-from gbei.homology import SimplicialComplex, hochster_betti, reduced_homology_ranks
+from gbei.homology import hochster_betti
 from gbei.ideals import Analysis, AntitoneMap, admissible_paths, minor
 from gbei.poly import VarGrid
 
@@ -51,6 +51,9 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def drop_timings(text: str) -> str:
@@ -478,6 +481,26 @@ class TestRenderParity:
         assert re.search(r"^timings: basis=\d+\.\d{3}ms census=\d+\.\d{3}ms ", render_text(report), re.M)
 
 
+class TestReadmeExamples:
+    """Each `$ gbei ...` example of the README prints every output line it
+    shows, other than `...` and `timings:` lines, on the graph files its
+    `$ cat` examples show."""
+
+    @pytest.mark.parametrize("command", ["classify", "invariants", "verify", "corpus"])
+    def test_shown_lines_are_printed(self, capsys, tmp_path, monkeypatch, command):
+        blocks = re.findall(r"^```\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+        shell = {lines[0][2:]: lines[1:] for lines in map(str.splitlines, blocks) if lines[0].startswith("$ ")}
+        for line, shown in shell.items():
+            if line.startswith("cat "):
+                (tmp_path / line[4:]).write_text("\n".join(shown) + "\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        [(line, shown)] = [(line, shown) for line, shown in shell.items() if line.startswith(f"gbei {command} ")]
+        code, out, _ = run(capsys, *line.split()[1:])
+        printed = out.splitlines()
+        missing = [s for s in shown if s != "..." and not s.startswith("timings:") and s not in printed]
+        assert code == 0 and missing == []
+
+
 def test_console_script_smoke(tmp_path):
     p = tmp_path / "p5.txt"
     p.write_text(P5_TEXT, encoding="utf-8")
@@ -514,10 +537,6 @@ SIZE_CAPS = {
     "oracle": (
         lambda: hochster_betti([], VarGrid(2, 9)),
         "18 variables exceeds the oracle cap of 16",
-    ),
-    "homology": (
-        lambda: reduced_homology_ranks(SimplicialComplex(17, ()), range(17)),
-        "restriction to 17 vertices is past the intended scale",
     ),
     "enumeration": (
         lambda: next(enumerate_connected_graphs(8)),

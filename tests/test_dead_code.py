@@ -4,11 +4,15 @@ module by importing it, its own module by name).  Every private one is
 referred to somewhere in the package outside its own body.  A helper that
 nothing calls is deleted, not left behind.  Likewise every module-level
 import of the package and of the tests is used by the file that makes it,
-and the report turns only a size cap into a skipped verdict."""
+the report turns only a size cap into a skipped verdict, and every
+function the benchmark's tracer looks up by name is still there."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +20,7 @@ import gbei
 
 PACKAGE = Path(gbei.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+WORKER = TESTS.parent / "perfbench" / "worker.py"
 
 
 def _parse(path: Path) -> ast.Module:
@@ -139,3 +144,23 @@ def test_report_skips_on_size_caps_only():
     """Any other error propagates to the CLI's input-error exit, so a
     defect cannot read as a skipped check."""
     assert _broad_handlers(_parse(PACKAGE / "report.py")) == []
+
+
+def test_every_traced_name_is_a_public_function():
+    """The benchmark worker names the functions its tracer reports as
+    `<layer>.<name>` strings, and a name the tracer cannot find raises."""
+    layer_name = re.compile(r"(cli|report|graphs|ideals|poly|homology)\.(\w+)")
+    traced = {
+        node.value
+        for node in ast.walk(_parse(WORKER))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and layer_name.fullmatch(node.value)
+    }
+    assert {"poly.normal_form", "poly.is_groebner_basis", "homology.hochster_betti"} <= traced
+    missing = []
+    for name in sorted(traced):
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"gbei.{layer}")
+        fn = getattr(module, attr, None)
+        if attr.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+            missing.append(name)
+    assert missing == []

@@ -12,17 +12,7 @@ from hypothesis import strategies as st
 
 from gbei import homology
 from gbei.graphs import enumerate_connected_graphs
-from gbei.homology import (
-    BettiTable,
-    SimplicialComplex,
-    depth_of_quotient,
-    hilbert_check,
-    hilbert_numerator,
-    hochster_betti,
-    reduced_homology_ranks,
-    regularity_of_quotient,
-    stanley_reisner,
-)
+from gbei.homology import BettiTable, hilbert_check, hilbert_numerator, hochster_betti
 from gbei.ideals import initial_ideal
 from gbei.poly import Monomial, VarGrid
 
@@ -35,15 +25,36 @@ def mono(*vars_) -> Monomial:
     return Monomial.make({v: vars_.count(v) for v in vars_})
 
 
+# Complexes are given by their minimal nonfaces as vertex bitmasks, and a
+# restriction by the bitmask of its vertices.
+
+def support_masks(gens, grid: VarGrid) -> list[int]:
+    """The nonfaces of the Stanley-Reisner complex: the generator supports."""
+    return [sum(1 << grid.index(v) for v in m.support) for m in gens]
+
+
+def oracle_ranks(nonfaces, sigma: int) -> list[int]:
+    """The oracle's reduced homology ranks of the restriction to sigma, for
+    dimensions -1 .. |sigma| - 1; the restriction to no vertex is the
+    complex {empty face}."""
+    inside = tuple(g for g in homology._prune_masks(nonfaces) if g & sigma == g)
+    vec = homology._restriction_vectors(inside).get(sigma, ()) if sigma else (1,)
+    return [*vec, *[0] * (sigma.bit_count() + 1 - len(vec))]
+
+
 # ---------------------------------------------------------------------------
 # a dense, definition-level reference: enumerate every face, build boundary
 # matrices over Q, read ranks off Gaussian elimination
 
-def brute_reduced_homology(k: SimplicialComplex, sigma) -> list[int]:
-    sigma = sorted(set(sigma))
+def brute_reduced_homology(nonfaces, sigma: int) -> list[int]:
+    def is_face(f) -> bool:
+        mask = sum(1 << v for v in f)
+        return not any(nf & mask == nf for nf in nonfaces)
+
+    sigma = [v for v in range(sigma.bit_length()) if sigma >> v & 1]
     faces_by_dim: dict[int, list[tuple[int, ...]]] = {-1: [()]}
     for size in range(1, len(sigma) + 1):
-        layer = [f for f in combinations(sigma, size) if k.is_face(f)]
+        layer = [f for f in combinations(sigma, size) if is_face(f)]
         if not layer:
             break
         faces_by_dim[size - 1] = layer
@@ -88,16 +99,16 @@ def brute_reduced_homology(k: SimplicialComplex, sigma) -> list[int]:
 
 
 def brute_betti(gens, grid: VarGrid) -> dict[tuple[int, int], int]:
-    k = stanley_reisner(gens, grid)
+    nonfaces = support_masks(gens, grid)
     entries = {(0, 0): 1}
-    for size in range(1, grid.size + 1):
-        for sigma in combinations(range(grid.size), size):
-            h = brute_reduced_homology(k, sigma)
-            for d in range(-1, size):
-                r = h[d + 1]
-                if r:
-                    key = (size - d - 1, size)
-                    entries[key] = entries.get(key, 0) + r
+    for sigma in range(1, 1 << grid.size):
+        size = sigma.bit_count()
+        h = brute_reduced_homology(nonfaces, sigma)
+        for d in range(-1, size):
+            r = h[d + 1]
+            if r:
+                key = (size - d - 1, size)
+                entries[key] = entries.get(key, 0) + r
     return entries
 
 
@@ -175,90 +186,84 @@ def enumerated(monkeypatch) -> list[tuple[int, ...]]:
     return runs
 
 
+def oracle_nonfaces(gens, grid: VarGrid) -> tuple[int, ...]:
+    """The minimal nonfaces hochster_betti reads off the generators."""
+    return homology._prune_masks(homology._support_mask(m, grid) for m in gens)
+
+
 class TestStanleyReisner:
     def test_nonfaces_are_generator_supports(self):
         grid = VarGrid(2, 2)
         gens = [mono((1, 1), (2, 2)), mono((1, 2), (2, 1))]
-        k = stanley_reisner(gens, grid)
-        assert k.vertex_count == 4
         # row-major indexing: (1,1)->0, (1,2)->1, (2,1)->2, (2,2)->3
-        assert set(k.nonfaces) == {frozenset({0, 3}), frozenset({1, 2})}
-        assert k.is_face({0, 1}) and not k.is_face({1, 2})
+        assert oracle_nonfaces(gens, grid) == (0b0110, 0b1001)
 
     def test_nonminimal_generators_are_pruned(self):
         grid = VarGrid(2, 2)
         gens = [mono((1, 1)), mono((1, 1), (2, 2))]
-        k = stanley_reisner(gens, grid)
-        assert k.nonfaces == (frozenset({0}),)
+        assert oracle_nonfaces(gens, grid) == (0b0001,)
 
     def test_rejects_non_squarefree(self):
         grid = VarGrid(2, 2)
         with pytest.raises(ValueError):
-            stanley_reisner([mono((1, 1), (1, 1))], grid)
+            hochster_betti([mono((1, 1), (1, 1))], grid)
 
     def test_rejects_constant(self):
         grid = VarGrid(2, 2)
         with pytest.raises(ValueError):
-            stanley_reisner([Monomial.make({})], grid)
+            hochster_betti([Monomial.make({})], grid)
 
 
 class TestReducedHomology:
     def test_hollow_triangle_is_a_circle(self):
-        k = SimplicialComplex(3, (frozenset({0, 1, 2}),))
-        assert reduced_homology_ranks(k, [0, 1, 2]) == [0, 0, 1, 0]
+        assert oracle_ranks((0b111,), 0b111) == [0, 0, 1, 0]
 
     def test_full_simplex_is_acyclic(self):
-        k = SimplicialComplex(3, ())
-        assert reduced_homology_ranks(k, [0, 1, 2]) == [0, 0, 0, 0]
+        assert oracle_ranks((), 0b111) == [0, 0, 0, 0]
 
     def test_two_points(self):
-        k = SimplicialComplex(2, (frozenset({0, 1}),))
-        assert reduced_homology_ranks(k, [0, 1]) == [0, 1, 0]
+        assert oracle_ranks((0b11,), 0b11) == [0, 1, 0]
 
     def test_empty_restriction(self):
-        k = SimplicialComplex(3, (frozenset({0, 1, 2}),))
-        assert reduced_homology_ranks(k, []) == [1]
+        # the complex {empty face}: its Htilde_{-1} is the Betti number
+        # beta_{0,0} that every table carries
+        assert brute_reduced_homology((0b111,), 0) == [1]
+        assert hochster_betti([mono((1, 1), (1, 2), (2, 1))], VarGrid(2, 2)).beta(0, 0) == 1
 
     def test_disjoint_circles_multiply_through_joins(self):
         # two hollow triangles on disjoint vertices: their join is a torus
         # shell homotopy-wise, h1 ranks convolve
-        nf = (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
-        k = SimplicialComplex(6, nf)
-        got = reduced_homology_ranks(k, range(6))
-        assert got == brute_reduced_homology(k, range(6))
+        nf = (0b000111, 0b111000)
+        got = oracle_ranks(nf, 0b111111)
+        assert got == brute_reduced_homology(nf, 0b111111)
         assert got[4] == 1  # a single 3-sphere class
 
     def test_a_dominated_vertex_collapses(self, enumerated):
         # the hollow triangle 012 with the triangle 013 filled in: the link
         # of 3 is the edge 01, a cone, so the whole restriction is read off
         # the one to 012, a circle
-        k = SimplicialComplex(4, (frozenset({0, 1, 2}), frozenset({2, 3})))
-        assert homology._dominated_vertex(0b1111, homology._collapse_steps((0b0111, 0b1100))) == 0b1000
-        got = reduced_homology_ranks(k, range(4))
-        assert got == brute_reduced_homology(k, range(4)) == [0, 0, 1, 0, 0]
+        nf = (0b0111, 0b1100)
+        assert homology._dominated_vertex(0b1111, homology._collapse_steps(nf)) == 0b1000
+        got = oracle_ranks(nf, 0b1111)
+        assert got == brute_reduced_homology(nf, 0b1111) == [0, 0, 1, 0, 0]
         assert enumerated == [(2, 3), (0, 1, 2)]
 
     def test_matches_brute_force_on_every_restriction(self):
         grid = VarGrid(2, 3)
         for g in (P3, CHERRY, K3):
-            k = stanley_reisner(list(initial_ideal(g, 2)), grid)
-            for size in range(grid.size + 1):
-                for sigma in combinations(range(grid.size), size):
-                    assert reduced_homology_ranks(k, sigma) == brute_reduced_homology(k, sigma), (g, sigma)
+            nf = support_masks(initial_ideal(g, 2), grid)
+            for sigma in range(1 << grid.size):
+                assert oracle_ranks(nf, sigma) == brute_reduced_homology(nf, sigma), (g, sigma)
 
     def test_torsion_falls_back_to_exact_ranks(self, monkeypatch):
         # the 6-vertex real projective plane: H1(Z) = Z/2, so over GF(2)
         # its homology sits in two degrees and the certificate must refuse
         # it; over Q it is acyclic
         facets = {frozenset(map(int, f)) for f in "012 023 034 045 051 124 235 341 452 513".split()}
-        missing = tuple(
-            frozenset(t) for t in combinations(range(6), 3) if frozenset(t) not in facets
+        rp2 = tuple(
+            sum(1 << v for v in t) for t in combinations(range(6), 3) if frozenset(t) not in facets
         )
-        rp2 = SimplicialComplex(6, missing)
-        hollow_triangle = SimplicialComplex(3, (frozenset({0, 1, 2}),))
-        octahedron = SimplicialComplex(6, (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})))
-        masks = tuple(sum(1 << v for v in nf) for nf in missing)
-        layers = homology._faces_by_size(tuple(range(6)), masks)
+        layers = homology._faces_by_size(tuple(range(6)), rp2)
         assert homology._vector_from_ranks(layers, homology._boundary_rank_mod2) == (0, 0, 1, 1)
 
         calls = []
@@ -269,11 +274,11 @@ class TestReducedHomology:
             return exact(columns)
 
         monkeypatch.setattr(homology, "_rank", counted)
-        assert reduced_homology_ranks(hollow_triangle, range(3)) == [0, 0, 1, 0]
-        assert reduced_homology_ranks(octahedron, range(6)) == [0, 0, 0, 1, 0, 0, 0]
+        assert oracle_ranks((0b111,), 0b111) == [0, 0, 1, 0]  # the hollow triangle
+        assert oracle_ranks((0b000011, 0b001100, 0b110000), 0b111111) == [0, 0, 0, 1, 0, 0, 0]  # the octahedron
         assert calls == []
-        got = reduced_homology_ranks(rp2, range(6))
-        assert got == [0] * 7 == brute_reduced_homology(rp2, range(6))
+        got = oracle_ranks(rp2, 0b111111)
+        assert got == [0] * 7 == brute_reduced_homology(rp2, 0b111111)
         assert calls
 
     def test_matches_brute_force_on_random_complexes(self, monkeypatch):
@@ -284,19 +289,11 @@ class TestReducedHomology:
         for _ in range(300):
             n = rng.randint(2, 8)
             nonfaces = tuple(
-                frozenset(rng.sample(range(n), rng.randint(2, min(5, n))))
+                sum(1 << v for v in rng.sample(range(n), rng.randint(2, min(5, n))))
                 for _ in range(rng.randint(1, 6))
             )
-            k = SimplicialComplex(n, nonfaces)
-            sigma = [v for v in range(n) if rng.random() < 0.8]
-            assert reduced_homology_ranks(k, sigma) == brute_reduced_homology(k, sigma), (nonfaces, sigma)
-
-    def test_size_guard(self):
-        k = SimplicialComplex(17, ())
-        with pytest.raises(ValueError):
-            reduced_homology_ranks(k, range(17))
-        with pytest.raises(ValueError):
-            reduced_homology_ranks(SimplicialComplex(3, ()), [5])
+            sigma = sum(1 << v for v in range(n) if rng.random() < 0.8)
+            assert oracle_ranks(nonfaces, sigma) == brute_reduced_homology(nonfaces, sigma), (nonfaces, sigma)
 
 
 class TestUnionClosure:
@@ -341,8 +338,8 @@ class TestBettiTables:
         grid = VarGrid(5, 1)
         table = hochster_betti([], grid)
         assert table.entries == {(0, 0): 1}
-        assert depth_of_quotient([], grid) == 5
-        assert regularity_of_quotient([], grid) == 0
+        assert table.depth() == 5
+        assert table.regularity() == 0
 
     def test_principal_ideal(self):
         grid = VarGrid(2, 1)
@@ -454,7 +451,7 @@ class TestBettiTables:
                 for hit in combinations(vs, size)
                 if all(s & set(hit) for s in supports)
             )
-            assert depth_of_quotient(gens, grid) <= grid.size - codim, g
+            assert hochster_betti(gens, grid).depth() <= grid.size - codim, g
 
     def test_render_golden(self):
         grid = VarGrid(2, 3)

@@ -20,7 +20,6 @@ from gbei.poly import (
     VarGrid,
     buchberger,
     ideal_equal,
-    ideal_membership,
     intersect,
     is_groebner_basis,
     is_reduced_basis,
@@ -233,9 +232,10 @@ class TestBuchberger:
 
 class TestPairCriteria:
     """The Gebauer-Moeller criteria in `buchberger`, and the coprimality
-    and chain criteria in `is_groebner_basis`, decide which S-polynomials
-    are formed.  A criterion that pruned differently would still reach the
-    same reduced basis, so the number formed is pinned on fixed inputs."""
+    criterion alone in `is_groebner_basis`, decide which S-polynomials are
+    formed.  A criterion that pruned differently would still reach the
+    same reduced basis, or the same verdict, so the number formed is
+    pinned on fixed inputs."""
 
     def test_buchberger_on_k4_with_three_rows(self, s_pairs):
         gb = buchberger(gbei_generators(K4, 3).generators)
@@ -247,7 +247,7 @@ class TestPairCriteria:
         s_pairs.clear()  # those of the engine run rauh_basis compared its result with
         assert is_groebner_basis(basis)
         assert len(basis) == 18
-        assert len(s_pairs) == 52
+        assert len(s_pairs) == 56
 
 
 # The Buchberger loop on Monomial and Polynomial, in two forms: the one the
@@ -593,6 +593,29 @@ class TestExactCoefficients:
         assert [(c, type(c)) for c in Polynomial.term(mono((1, 1)), 2.0).terms.values()] == [(2, int)]
 
 
+class TestGroebnerCriterion:
+    """`is_groebner_basis` forms the S-polynomial of every pair whose leads
+    are not coprime.  A set is a Groebner basis exactly when its leads
+    generate the initial ideal, read off the engine's reduced basis.  The
+    generators followed by that basis are one, with many pairs to check."""
+
+    def test_the_verdict_of_the_initial_ideal(self):
+        verdicts = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(grid_minors | binomials, min_size=2, max_size=4))
+        def check(gens):
+            gb = buchberger(gens)
+            for polys in (gens, [*gens, *gb]):
+                verdict = is_groebner_basis(polys)
+                leads = [f.leading_monomial() for f in polys]
+                assert verdict == monomial_ideal_equal(leads, gb.leads())
+                verdicts.add(verdict)
+
+        check()
+        assert verdicts == {True, False}
+
+
 # the path 4-2-3-1-5: at 2 rows its leads reach degree 5, so with 3-bit
 # fields (modulus 7) some lead pairs sum past the modulus, and a remainder
 # read there would reorder its S-pairs
@@ -658,8 +681,8 @@ class TestAgainstTheChainCriterion:
 class TestIdealOps:
     def test_membership(self):
         ideal = Ideal([minor2(1, 2, 1, 2), minor2(1, 2, 1, 3)])
-        assert ideal_membership(var(2, 1) * minor2(1, 2, 2, 3), ideal)
-        assert not ideal_membership(var(1, 1), ideal)
+        assert not normal_form(var(2, 1) * minor2(1, 2, 2, 3), ideal.groebner())
+        assert normal_form(var(1, 1), ideal.groebner())
 
     def test_equality_via_reduced_bases(self):
         a = Ideal([minor2(1, 2, 1, 2), minor2(1, 2, 1, 3)])
@@ -684,8 +707,8 @@ class TestIdealOps:
         b = Ideal([var(1, 1), var(2, 1)])
         inter = intersect(a, b)
         for f in inter.groebner():
-            assert ideal_membership(f, a)
-            assert ideal_membership(f, b)
+            assert not normal_form(f, a.groebner())
+            assert not normal_form(f, b.groebner())
 
     def test_intersection_with_self(self):
         a = Ideal([minor2(1, 2, 1, 2), minor2(1, 2, 2, 3)])
@@ -693,7 +716,7 @@ class TestIdealOps:
 
     def test_initial_monomials_of_cherry(self):
         ideal = Ideal([minor2(1, 2, 1, 2), minor2(1, 2, 1, 3)])
-        assert {m.render() for m in ideal.initial_monomials()} == {
+        assert {m.render() for m in ideal.groebner().leads()} == {
             "x[1,1]*x[2,2]",
             "x[1,1]*x[2,3]",
             "x[1,2]*x[2,1]*x[2,3]",
