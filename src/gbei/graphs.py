@@ -62,7 +62,9 @@ class Graph:
         return sorted(self.edges)
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        if not (1 <= v <= self.n):
+            raise ValueError(f"vertex {v} outside 1..{self.n}")
+        return self._adj[v - 1].bit_count()
 
     @cached_property
     def _adj(self) -> list[int]:
@@ -357,7 +359,7 @@ def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    return len(_component_masks(g._adj, (1 << g.n) - 1)) == 1
 
 
 def components_within(g: Graph, vertices) -> tuple[tuple[int, ...], ...]:
@@ -395,7 +397,7 @@ def is_path(g: Graph) -> bool:
         return False
     if g.n == 1:
         return True
-    degs = [g.degree(v) for v in range(1, g.n + 1)]
+    degs = [m.bit_count() for m in g._adj]
     return max(degs) <= 2 and degs.count(1) == 2
 
 
@@ -404,25 +406,45 @@ def is_path(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class CutSetCensus:
-    """Everything the closed-form invariants need to know about cut sets.
+    """Everything the closed-form invariants need to know about cut sets,
+    kept as the vertex masks _census_masks returns: the inclusion-minimal
+    cut sets, and the cut point sets T (each member's removal genuinely
+    lowers the component count of the restriction to the complement; the
+    empty set always qualifies) with their component counts, in increasing
+    mask order.  a(i) and counts count bits; the set views are decoded on
+    first read, so a consumer of the counts alone decodes nothing.
 
-    minimal_cut_sets groups the inclusion-minimal cut sets by cardinality.
-    counts[i] is the number of minimal cut sets of cardinality i for i up to
-    the clique number minus one (the only range the formulas consume).
-    cut_point_sets are the sets T where each member's removal genuinely
-    lowers the component count of the restriction to the complement, indexed
-    with their component counts; the empty set always qualifies.
+    minimal_cut_sets groups the minimal cut sets by cardinality.  counts[i]
+    is a(i) for i up to the clique number minus one (the only range the
+    formulas consume).
     """
 
-    minimal_cut_sets: dict[int, tuple[frozenset[int], ...]]
-    counts: dict[int, int]
-    cut_point_sets: tuple[frozenset[int], ...]
-    component_counts: dict[frozenset[int], int]
+    _minimal_masks: list[int]
+    _cut_point_masks: dict[int, int]
     clique_number: int
 
     def a(self, i: int) -> int:
         """Number of minimal cut sets of cardinality i (0 when none)."""
-        return len(self.minimal_cut_sets.get(i, ()))
+        return sum(m.bit_count() == i for m in self._minimal_masks)
+
+    @property
+    def counts(self) -> dict[int, int]:
+        return {i: self.a(i) for i in range(1, self.clique_number)}
+
+    @cached_property
+    def minimal_cut_sets(self) -> dict[int, tuple[frozenset[int], ...]]:
+        groups: dict[int, list[frozenset[int]]] = {}
+        for m in self._minimal_masks:
+            groups.setdefault(m.bit_count(), []).append(frozenset(_mask_vertices(m)))
+        return {k: tuple(sorted(v, key=sorted)) for k, v in sorted(groups.items())}
+
+    @cached_property
+    def component_counts(self) -> dict[frozenset[int], int]:
+        return {frozenset(_mask_vertices(t)): c for t, c in self._cut_point_masks.items()}
+
+    @cached_property
+    def cut_point_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(sorted(self.component_counts, key=lambda s: (len(s), sorted(s))))
 
 
 def _census_masks(adj: list[int], core: int) -> tuple[list[int], dict[int, int]]:
@@ -462,7 +484,8 @@ def _census_masks(adj: list[int], core: int) -> tuple[list[int], dict[int, int]]
 
 def cut_set_census(g: Graph) -> CutSetCensus:
     """Exhaustive over the subsets of the core, the vertices in two or more
-    facets (see _census_masks): 2^|core| component counts."""
+    facets (see _census_masks): 2^|core| component counts.  The census keeps
+    the masks; its set views are decoded only where they are read."""
     if g.n > 20:
         raise SizeCap(f"census is exhaustive over subsets; n={g.n} is past the intended scale")
     facets = g._facets[0]
@@ -470,22 +493,7 @@ def cut_set_census(g: Graph) -> CutSetCensus:
     for a, b in combinations(facets, 2):
         core |= a & b
     minimal, cut_points = _census_masks(g._adj, core)
-    omega = max(m.bit_count() for m in facets)
-    groups: dict[int, list[frozenset[int]]] = {}
-    for m in minimal:
-        groups.setdefault(m.bit_count(), []).append(frozenset(_mask_vertices(m)))
-    minimal_sets = {
-        k: tuple(sorted(v, key=sorted)) for k, v in sorted(groups.items())
-    }
-    counts = {i: len(minimal_sets.get(i, ())) for i in range(1, omega)}
-    cps = sorted((frozenset(_mask_vertices(t)) for t in cut_points), key=lambda s: (len(s), sorted(s)))
-    return CutSetCensus(
-        minimal_cut_sets=minimal_sets,
-        counts=counts,
-        cut_point_sets=tuple(cps),
-        component_counts={frozenset(_mask_vertices(t)): c for t, c in cut_points.items()},
-        clique_number=omega,
-    )
+    return CutSetCensus(minimal, cut_points, max(m.bit_count() for m in facets))
 
 
 # ---------------------------------------------------------------------------

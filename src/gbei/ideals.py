@@ -404,17 +404,16 @@ class Analysis:
 
     @cached_property
     def dimension(self) -> int:
-        """Krull dimension of the quotient."""
-        return max(self.prime_dimensions.values())
+        """Krull dimension of the quotient: the largest prime dimension,
+        read from the census masks."""
+        n, r = self.graph.n, self.rows - 1
+        return max(n - t.bit_count() + c * r for t, c in self.census._cut_point_masks.items())
 
     @cached_property
     def unmixed(self) -> bool:
         """See is_unmixed."""
-        census = self.census
-        return all(
-            (census.component_counts[t] - 1) * (self.rows - 1) == len(t)
-            for t in census.cut_point_sets
-        )
+        r = self.rows - 1
+        return all((c - 1) * r == t.bit_count() for t, c in self.census._cut_point_masks.items())
 
     @cached_property
     def minimal_primes(self) -> tuple[MinimalPrime, ...]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -100,6 +101,44 @@ def facet_runs(monkeypatch) -> list[int]:
     real = gbei.graphs._facet_masks
     monkeypatch.setattr(gbei.graphs, "_facet_masks", lambda adj: runs.append(len(adj)) or real(adj))
     return runs
+
+
+VIEWS = ("minimal_cut_sets", "cut_point_sets", "component_counts")
+
+
+@pytest.fixture
+def censuses(monkeypatch) -> tuple[list, Counter]:
+    """Every census an analysis builds, and how often each of the census's
+    set views is decoded."""
+    built: list = []
+    decodes: Counter = Counter()
+    real = gbei.ideals.cut_set_census
+    monkeypatch.setattr(gbei.ideals, "cut_set_census", lambda g: built.append(real(g)) or built[-1])
+    census_type = gbei.graphs.CutSetCensus
+    for name in VIEWS:
+        decode = vars(census_type)[name].func
+        counted = cached_property(lambda self, decode=decode, name=name: decodes.update([name]) or decode(self))
+        counted.__set_name__(census_type, name)
+        monkeypatch.setattr(census_type, name, counted)
+    return built, decodes
+
+
+def test_corpus_rows_decode_no_census_view(censuses):
+    """A corpus row prints dimension, unmixedness, depth and regularity,
+    which read the census masks alone."""
+    built, decodes = censuses
+    report = corpus_report(5, 2, "gblock", False)
+    assert len(built) == report["summary"]["graphs"] == 421
+    assert decodes == Counter()
+    assert not any(name in vars(census) for census in built for name in VIEWS)
+
+
+@pytest.mark.parametrize("g", [P3, FAN, C4], ids=["P3", "FAN", "C4"])
+def test_invariants_report_decodes_each_census_view_once(censuses, g):
+    built, decodes = censuses
+    invariants_report(g, 2)
+    assert len(built) == 1
+    assert decodes == Counter(dict.fromkeys(VIEWS, 1))
 
 
 @pytest.mark.parametrize("g", [P3, FAN, C4], ids=["P3", "FAN", "C4"])

@@ -1,6 +1,8 @@
 """The cut-set census visits only the removed sets inside the core (the
 vertices in two or more maximal cliques).  It is checked here against the
-exhaustive census over all 2^n removed sets, kept as the reference."""
+exhaustive census over all 2^n removed sets, kept as the reference.  The
+census keeps masks and decodes its set views on first read; those views are
+checked against the frozensets the census used to build eagerly."""
 
 from __future__ import annotations
 
@@ -12,9 +14,12 @@ import pytest
 
 import gbei.graphs
 from gbei.graphs import Graph, classify, cut_set_census, enumerate_connected_graphs, is_connected
+from gbei.ideals import Analysis
 from gbei.report import invariants_report
 
-from conftest import graph_of
+from conftest import C4, graph_of
+
+C5 = graph_of(5, (1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
 
 
 def exhaustive_census_masks(adj: list[int], core: int) -> tuple[list[int], dict[int, int]]:
@@ -107,6 +112,62 @@ def test_core_census_equals_exhaustive_on_random_graphs(both_censuses):
     # disconnected, non-chordal, and large graphs with many cut point sets all drawn
     connected, chordal, large = zip(*kinds)
     assert set(connected) == set(chordal) == set(large) == {False, True}
+
+
+def reference_census_views(minimal: list[int], cut_points: dict[int, int]):
+    """Reference: the set views as the census built them eagerly from its
+    masks, (minimal_cut_sets, cut_point_sets, component_counts)."""
+
+    def vertices(mask: int) -> frozenset[int]:
+        return frozenset(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+
+    groups: dict[int, list[frozenset[int]]] = {}
+    for m in minimal:
+        groups.setdefault(m.bit_count(), []).append(vertices(m))
+    minimal_sets = {k: tuple(sorted(v, key=sorted)) for k, v in sorted(groups.items())}
+    cps = sorted((vertices(t) for t in cut_points), key=lambda s: (len(s), sorted(s)))
+    return minimal_sets, tuple(cps), {vertices(t): c for t, c in cut_points.items()}
+
+
+def assert_views_match_reference(g: Graph):
+    census = cut_set_census(g)
+    minimal_sets, cps, comps = reference_census_views(census._minimal_masks, census._cut_point_masks)
+    assert census.minimal_cut_sets == minimal_sets, g
+    assert census.cut_point_sets == cps, g
+    assert census.component_counts == comps, g
+    assert list(census.component_counts) == list(comps), g
+    assert census.counts == {i: len(minimal_sets.get(i, ())) for i in range(1, census.clique_number)}, g
+    # every size, past the clique number too: a non-chordal cut set can be that large
+    assert [census.a(i) for i in range(1, g.n + 1)] == [len(minimal_sets.get(i, ())) for i in range(1, g.n + 1)], g
+    for rows in (2, 3):
+        analysis = Analysis(g, rows)
+        assert analysis.dimension == max(analysis.prime_dimensions.values()), (g, rows)
+        unmixed = all((comps[t] - 1) * (rows - 1) == len(t) for t in cps)
+        assert analysis.unmixed == unmixed, (g, rows)
+
+
+def test_census_views_match_the_eager_sets_on_every_connected_graph_up_to_six():
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            assert_views_match_reference(g)
+
+
+def test_census_views_match_the_eager_sets_on_random_graphs():
+    for g in random_graphs(random.Random(7), 300):
+        assert_views_match_reference(g)
+
+
+def test_cycles_have_cut_sets_as_large_as_their_clique_number():
+    c4, c5 = cut_set_census(C4), cut_set_census(C5)
+    assert c4.clique_number == c5.clique_number == 2
+    assert c4.counts == c5.counts == {1: 0}
+    assert (c4.a(2), c5.a(2)) == (2, 5)
+    assert c4.minimal_cut_sets == {2: (frozenset({1, 3}), frozenset({2, 4}))}
+    assert c4.component_counts == {frozenset(): 1, frozenset({1, 3}): 2, frozenset({2, 4}): 2}
+    assert c5.cut_point_sets == (frozenset(), *c5.minimal_cut_sets[2])
+    assert [Analysis(C5, 2).dimension, Analysis(C5, 2).unmixed] == [6, False]
+    for g in (C4, C5):
+        assert_views_match_reference(g)
 
 
 def test_census_visits_only_subsets_of_the_core(monkeypatch):
