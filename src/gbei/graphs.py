@@ -192,17 +192,6 @@ def _simplicial_elimination(adj: list[int]) -> tuple[list[int], list[int], int]:
     return order, closed, rem
 
 
-def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """Chordality test.  Returns (True, perfect elimination order) or
-    (False, None).  The order lists 1-based vertices in the order they are
-    removed, each time the smallest vertex whose remaining neighbors form a
-    clique."""
-    order, _, kernel = _simplicial_elimination(g._adj)
-    if kernel:
-        return False, None
-    return True, tuple(v + 1 for v in order)
-
-
 def _bron_kerbosch(adj: list[int], mask: int) -> list[int]:
     """All maximal cliques of the subgraph induced on `mask`, by branch and
     bound with pivoting."""
@@ -298,10 +287,6 @@ class CliqueComplex:
 
     facets: tuple[frozenset[int], ...]
     leaf_order: tuple[int, ...] | None
-
-    @property
-    def clique_number(self) -> int:
-        return max(len(f) for f in self.facets)
 
 
 def clique_complex(g: Graph) -> CliqueComplex:
@@ -520,7 +505,6 @@ class LeafSplit:
     merged: Graph
     minus_cut: Graph
     merged_minus_cut: Graph
-    kept: tuple[int, ...]
     relabel: dict[int, int]
 
 
@@ -571,7 +555,6 @@ def leaf_decomposition(g: Graph) -> LeafSplit:
         merged=merged,
         minus_cut=minus_cut,
         merged_minus_cut=merged_minus_cut,
-        kept=kept,
         relabel=relabel,
     )
 

@@ -33,16 +33,8 @@ from .graphs import (
     cut_set_census,
     induced_subgraph,
     is_path,
-    leaf_decomposition,
 )
-from .poly import (
-    Ideal,
-    Monomial,
-    Polynomial,
-    Var,
-    buchberger,
-    monomial_ideal_equal,
-)
+from .poly import Ideal, Monomial, Polynomial, Var
 
 
 def _require_rows(rows: int):
@@ -466,56 +458,3 @@ class Analysis:
             if not m.is_squarefree():
                 raise BasisValidationError(f"initial ideal generator {m} is not squarefree")
         return leads
-
-
-# ---------------------------------------------------------------------------
-# structural identities used by the verification harness
-
-def initial_ideal_commutes_with_columns(g: Graph, rows: int, cols) -> bool:
-    """Does adjoining whole columns of variables commute with taking the
-    initial ideal?  Left side: leads of the recomputed basis of the ideal
-    plus the column variables.  Right side: the closed-form initial ideal
-    plus those same variables."""
-    _require_rows(rows)
-    cols = sorted(set(cols))
-    for j in cols:
-        if not (1 <= j <= g.n):
-            raise ValueError(f"column {j} outside 1..{g.n}")
-    col_vars = [(i, j) for j in cols for i in range(1, rows + 1)]
-    extended = list(gbei_generators(g, rows).generators)
-    extended.extend(Polynomial.variable(v) for v in col_vars)
-    lhs = buchberger(extended).leads()
-    rhs = list(initial_ideal(g, rows))
-    rhs.extend(Monomial.of(v) for v in col_vars)
-    return monomial_ideal_equal(lhs, rhs)
-
-
-@dataclass(frozen=True)
-class IdealSplit:
-    """The two-piece decomposition induced by a leaf split.
-
-    `left` is the ideal of the clique-merged graph; `right` adjoins the cut
-    columns' variables to the ideal of the graph minus the cut; `total` is
-    their sum in closed form (cut columns plus the merged graph minus the
-    cut).  The original ideal is the intersection of left and right.
-    """
-
-    split_cut: frozenset[int]
-    left: Ideal
-    right: Ideal
-    total: Ideal
-
-
-def leaf_ideal_split(g: Graph, rows: int) -> IdealSplit:
-    _require_rows(rows)
-    split = leaf_decomposition(g)
-    cut = split.cut
-    col_vars = [
-        Polynomial.variable((i, j)) for j in sorted(cut) for i in range(1, rows + 1)
-    ]
-    left = gbei_generators(split.merged, rows)
-    outside = [e for e in g.edges if not (set(e) & cut)]
-    right = Ideal(col_vars + _minors_for_edges(outside, rows))
-    merged_outside = [e for e in split.merged.edges if not (set(e) & cut)]
-    total = Ideal(col_vars + _minors_for_edges(merged_outside, rows))
-    return IdealSplit(split_cut=cut, left=left, right=right, total=total)

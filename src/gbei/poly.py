@@ -535,22 +535,15 @@ class GroebnerBasis(Sequence):
     elements on one packing, by decreasing lead.  It reads as the tuple of
     its Polynomials, decoded on first use; its length and its leads need no
     decoding, and `elements` can be compared with other elements packed on
-    `packing`."""
+    `packing`.  The packing may have fields no element uses, such as the
+    elimination variable's in a basis that `intersect` keeps."""
 
     __slots__ = ("packing", "elements", "_polys")
 
-    def __init__(self, packing: _Packing, elements, polys: tuple[Polynomial, ...] | None = None):
+    def __init__(self, packing: _Packing, elements):
         self.packing = packing
         self.elements = tuple(elements)
-        self._polys = polys
-
-    @staticmethod
-    def of(polys) -> "GroebnerBasis":
-        """A reduced basis given as Polynomials, packed; they are kept, so
-        nothing is decoded again."""
-        polys = tuple(polys)
-        packing = _Packing(polys)
-        return GroebnerBasis(packing, [_divisor(packing.pack(f)) for f in polys], polys)
+        self._polys = None
 
     def polynomials(self) -> tuple[Polynomial, ...]:
         if self._polys is None:
@@ -704,16 +697,17 @@ class Ideal:
 
     The cache holds the basis as the kernel packed it, so its Polynomials
     are decoded only when an element is first read, and its leads alone
-    for the initial ideal.  Instances are treated as immutable; the cache
-    is written at most once.  Equality of the mathematical ideals is
-    `ideal_equal`, not `==`.
+    for the initial ideal.  `groebner`, when given, seeds the cache with
+    the engine's packed reduced basis of the generators (see intersect).
+    Instances are treated as immutable; the cache is written at most once.
+    Equality of the mathematical ideals is `ideal_equal`, not `==`.
     """
 
     __slots__ = ("generators", "_gb")
 
-    def __init__(self, generators, groebner=None):
+    def __init__(self, generators, groebner: GroebnerBasis | None = None):
         self.generators = tuple(g for g in generators if g)
-        self._gb = GroebnerBasis.of(groebner) if groebner is not None else None
+        self._gb = groebner
 
     def groebner(self) -> GroebnerBasis:
         if self._gb is None:
@@ -737,6 +731,13 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     the intersection is (t*A + (1-t)*B) with t eliminated.  Exponential in
     the worst case; fine for the intended small instances, a warning is
     emitted beyond 8 grid variables.
+
+    t ranks above the grid under lex, so an element of the engine's
+    reduced basis is t-free exactly when its lead is, and the t-free
+    elements are the reduced basis of the intersection.  They stay packed:
+    t holds the top field, so a lead is t-free when it is below that
+    field's lowest bit.  The kept elements seed the new ideal's cached
+    basis, and their Polynomials, decoded once, are its generators.
     """
     used = {v for g in (*a.generators, *b.generators) for m in g.terms for v in m.support}
     used.discard(ELIM)
@@ -750,24 +751,9 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     one = Polynomial.term(ONE, 1)
     mixed = [t * f for f in a.generators]
     mixed.extend((one - t) * g for g in b.generators)
+    if not mixed:  # two zero ideals: no t field to test against
+        return Ideal(())
     gb = buchberger(mixed)
-    # t ranks above the grid, so the t-free part is the reduced basis
-    # of the eliminated ideal
-    kept = tuple(g for g in gb if not any(v == ELIM for m in g.terms for v in m.support))
-    return Ideal(kept, groebner=kept)
-
-
-def minimal_generators(monomials) -> tuple[Monomial, ...]:
-    """Minimal generating set of a monomial ideal, sorted descending."""
-    uniq = sorted(set(monomials), key=lambda m: (m.degree, m))
-    kept: list[Monomial] = []
-    for m in uniq:
-        if not any(k.divides(m) for k in kept):
-            kept.append(m)
-    kept.sort(reverse=True)
-    return tuple(kept)
-
-
-def monomial_ideal_equal(a, b) -> bool:
-    """Equality of monomial ideals given by arbitrary generating sets."""
-    return minimal_generators(a) == minimal_generators(b)
+    top = 1 << gb.packing.shifts[ELIM]
+    basis = GroebnerBasis(gb.packing, [d for d in gb.elements if d[0] < top])
+    return Ideal(basis, basis)

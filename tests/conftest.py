@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
-from gbei.graphs import Graph
+from gbei.graphs import Graph, leaf_decomposition
+from gbei.ideals import _minors_for_edges, gbei_generators, initial_ideal
+from gbei.poly import Ideal, Monomial, Polynomial, buchberger
 
 
 def graph_of(n: int, *edges: tuple[int, int]) -> Graph:
@@ -20,6 +24,67 @@ C4 = graph_of(4, (1, 2), (2, 3), (3, 4), (1, 4))
 K4 = graph_of(4, (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 # three triangles glued along the common edge {1,2}
 FAN = graph_of(5, (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5))
+
+# ---------------------------------------------------------------------------
+# monomial ideals and the structural identities the tests check
+
+def minimal_generators(monomials) -> tuple[Monomial, ...]:
+    """Minimal generating set of a monomial ideal, sorted descending."""
+    uniq = sorted(set(monomials), key=lambda m: (m.degree, m))
+    kept: list[Monomial] = []
+    for m in uniq:
+        if not any(k.divides(m) for k in kept):
+            kept.append(m)
+    kept.sort(reverse=True)
+    return tuple(kept)
+
+
+def monomial_ideal_equal(a, b) -> bool:
+    """Equality of monomial ideals given by arbitrary generating sets."""
+    return minimal_generators(a) == minimal_generators(b)
+
+
+def initial_ideal_commutes_with_columns(g: Graph, rows: int, cols) -> bool:
+    """Does adjoining whole columns of variables commute with taking the
+    initial ideal?  Left side: leads of the recomputed basis of the ideal
+    plus the column variables.  Right side: the closed-form initial ideal
+    plus those same variables."""
+    col_vars = [(i, j) for j in sorted(set(cols)) for i in range(1, rows + 1)]
+    extended = list(gbei_generators(g, rows).generators)
+    extended.extend(Polynomial.variable(v) for v in col_vars)
+    lhs = buchberger(extended).leads()
+    rhs = list(initial_ideal(g, rows))
+    rhs.extend(Monomial.of(v) for v in col_vars)
+    return monomial_ideal_equal(lhs, rhs)
+
+
+@dataclass(frozen=True)
+class IdealSplit:
+    """The two-piece decomposition induced by a leaf split.
+
+    `left` is the ideal of the clique-merged graph; `right` adjoins the cut
+    columns' variables to the ideal of the graph minus the cut; `total` is
+    their sum in closed form (cut columns plus the merged graph minus the
+    cut).  The original ideal is the intersection of left and right.
+    """
+
+    split_cut: frozenset[int]
+    left: Ideal
+    right: Ideal
+    total: Ideal
+
+
+def leaf_ideal_split(g: Graph, rows: int) -> IdealSplit:
+    split = leaf_decomposition(g)
+    cut = split.cut
+    col_vars = [Polynomial.variable((i, j)) for j in sorted(cut) for i in range(1, rows + 1)]
+    left = gbei_generators(split.merged, rows)
+    outside = [e for e in g.edges if not (set(e) & cut)]
+    right = Ideal(col_vars + _minors_for_edges(outside, rows))
+    merged_outside = [e for e in split.merged.edges if not (set(e) & cut)]
+    total = Ideal(col_vars + _minors_for_edges(merged_outside, rows))
+    return IdealSplit(split_cut=cut, left=left, right=right, total=total)
+
 
 # the (vertices, rows) pairs whose full generalized-block corpus fits the
 # 12-variable oracle budget

@@ -24,15 +24,14 @@ from gbei.ideals import (
     depth_formula,
     gbei_generators,
     initial_ideal,
-    initial_ideal_commutes_with_columns,
     is_unmixed,
     krull_dimension,
     minimal_primes,
     regularity_formula,
 )
-from gbei.poly import VarGrid, buchberger, ideal_equal, intersect, monomial_ideal_equal
+from gbei.poly import VarGrid, buchberger, ideal_equal, intersect
 
-from conftest import CHERRY, DEPTH_SWEEP, K2, K3, P3
+from conftest import CHERRY, DEPTH_SWEEP, K2, K3, P3, initial_ideal_commutes_with_columns, monomial_ideal_equal
 
 
 def _key(g: Graph, rows: int):

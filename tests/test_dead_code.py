@@ -4,8 +4,9 @@ module by importing it, its own module by name).  Every private one is
 referred to somewhere in the package outside its own body.  A helper that
 nothing calls is deleted, not left behind.  Likewise every module-level
 import of the package and of the tests is used by the file that makes it,
-the report turns only a size cap into a skipped verdict, and every
-function the benchmark's tracer looks up by name is still there."""
+the report turns only a size cap into a skipped verdict, every
+function the benchmark's tracer looks up by name is still there, and
+every exported name has a user outside the tests."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import gbei
 PACKAGE = Path(gbei.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 WORKER = TESTS.parent / "perfbench" / "worker.py"
+README = TESTS.parent / "README.md"
 
 
 def _parse(path: Path) -> ast.Module:
@@ -146,15 +148,20 @@ def test_report_skips_on_size_caps_only():
     assert _broad_handlers(_parse(PACKAGE / "report.py")) == []
 
 
-def test_every_traced_name_is_a_public_function():
-    """The benchmark worker names the functions its tracer reports as
-    `<layer>.<name>` strings, and a name the tracer cannot find raises."""
+def _traced() -> set[str]:
+    """The `<layer>.<name>` strings by which the benchmark worker names the
+    functions its tracer reports."""
     layer_name = re.compile(r"(cli|report|graphs|ideals|poly|homology)\.(\w+)")
-    traced = {
+    return {
         node.value
         for node in ast.walk(_parse(WORKER))
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and layer_name.fullmatch(node.value)
     }
+
+
+def test_every_traced_name_is_a_public_function():
+    """A name the tracer cannot find raises."""
+    traced = _traced()
     assert {"poly.normal_form", "poly.is_groebner_basis", "homology.hochster_betti"} <= traced
     missing = []
     for name in sorted(traced):
@@ -164,3 +171,44 @@ def test_every_traced_name_is_a_public_function():
         if attr.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
             missing.append(name)
     assert missing == []
+
+
+# exports that neither the package, the README's Library section nor the
+# benchmark's tracer uses, each with the reason it stays
+UNUSED_EXPORTS = {
+    "hilbert_check": "the Hilbert-series reference the tests compare the oracle against, and the base of the planned Hilbert checks",
+}
+
+
+def _loads(node: ast.AST) -> Counter:
+    """Bare names read under `node`."""
+    return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_every_export_is_used_documented_or_traced():
+    """A name earns its place in `gbei.__all__` by one of three users:
+    package code outside the name's own definition (the re-exports of
+    `__init__.py` do not count), the README's Library section, or the
+    benchmark's tracer."""
+    trees = [tree for module, tree in _trees().items() if module != "__init__"]
+    reads = sum((_loads(tree) for tree in trees), Counter())
+    for tree in trees:
+        for node in tree.body:
+            for name in _defined(node):
+                reads[name] -= _loads(node)[name]
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"\w+", library))
+    traced = {name.split(".")[1] for name in _traced()}
+    unused = [name for name in gbei.__all__ if reads[name] <= 0 and name not in documented | traced]
+    assert sorted(unused) == sorted(UNUSED_EXPORTS)

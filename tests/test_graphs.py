@@ -16,7 +16,6 @@ from gbei.graphs import (
     cut_set_census,
     enumerate_connected_graphs,
     induced_subgraph,
-    is_chordal,
     is_connected,
     is_path,
     leaf_decomposition,
@@ -164,16 +163,22 @@ class TestChordality:
     def test_agrees_with_brute_force_up_to_six_vertices(self):
         for n in range(1, 7):
             for g in all_graphs(n):
-                assert is_chordal(g)[0] == brute_chordal(g), g
+                assert classify(g).chordal == brute_chordal(g), g
 
     def test_perfect_elimination_order_witness(self):
-        # the smallest vertex with a clique of remaining neighbors goes first
-        assert is_chordal(P5) == (True, (1, 2, 3, 4, 5))
-        assert is_chordal(STAR) == (True, (2, 3, 1, 4))
-        assert is_chordal(C4) == (False, None)
+        # the smallest vertex with a clique of remaining neighbors goes
+        # first; the order is 0-based, and only a chordal graph leaves no
+        # kernel of vertices never removed
+        def witness(g):
+            order, _, kernel = gbei.graphs._simplicial_elimination(g._adj)
+            return not kernel, [v + 1 for v in order]
+
+        assert witness(P5) == (True, [1, 2, 3, 4, 5])
+        assert witness(STAR) == (True, [2, 3, 1, 4])
+        assert witness(C4) == (False, [])
         for n in range(1, 7):
             for g in all_graphs(n):
-                ok, order = is_chordal(g)
+                ok, order = witness(g)
                 if not ok:
                     continue
                 assert sorted(order) == list(range(1, n + 1)), g
@@ -192,7 +197,7 @@ class TestCliqueComplex:
         rng = random.Random(11)
         for _ in range(200):
             g = cycle_or_wheel_with_simplicial_parts(rng)
-            assert not is_chordal(g)[0], g
+            assert not classify(g).chordal, g
             assert set(clique_complex(g).facets) == brute_facets(g), g
 
     def test_facets_match_the_quadratic_prune(self):

@@ -14,6 +14,8 @@ from gbei.graphs import Graph, SizeCap
 from gbei.ideals import gbei_generators, minimal_primes, rauh_basis
 from gbei.poly import (
     ELIM,
+    ONE,
+    GroebnerBasis,
     Ideal,
     Monomial,
     Polynomial,
@@ -23,13 +25,11 @@ from gbei.poly import (
     intersect,
     is_groebner_basis,
     is_reduced_basis,
-    minimal_generators,
-    monomial_ideal_equal,
     normal_form,
     s_polynomial,
 )
 
-from conftest import K4, STAR
+from conftest import CHERRY, K2, K3, K4, P3, STAR, graph_of, minimal_generators, monomial_ideal_equal
 
 
 def mono(*vars_and_powers) -> Monomial:
@@ -399,6 +399,18 @@ def reference_gebauer_moeller(gens, formed: list | None = None) -> tuple[Polynom
     return reference_interreduce([basis[k] for k in active])
 
 
+def packed(reference):
+    """A stand-in for `buchberger` with the kernel's return type: the basis
+    `reference` computes, packed as a GroebnerBasis on the packing of the
+    generators, which is the packing the kernel builds."""
+
+    def engine(gens):
+        packing = gbei.poly._Packing(gens)
+        return GroebnerBasis(packing, [gbei.poly._divisor(packing.pack(f)) for f in reference(gens)])
+
+    return engine
+
+
 def elimination_ideal_pair():
     """The two minimal primes of the star whose intersection the
     elimination tests compute."""
@@ -424,7 +436,7 @@ class TestPairQueue:
         a, b = elimination_ideal_pair()
         reference = []
         with monkeypatch.context() as patch:
-            patch.setattr(gbei.poly, "buchberger", partial(reference_gebauer_moeller, formed=reference))
+            patch.setattr(gbei.poly, "buchberger", packed(partial(reference_gebauer_moeller, formed=reference)))
             want = intersect(a, b).groebner()
         assert intersect(a, b).groebner() == want
         assert s_pairs == reference
@@ -502,6 +514,11 @@ class TestPackedMonomials:
 grid_minors = st.builds(minor2, st.just(1), st.integers(2, 3), st.just(1), st.integers(2, 3)) | st.builds(
     minor2, st.just(2), st.just(3), st.integers(1, 2), st.just(3)
 )
+# minors on rows 1 and 2 of a 2 x 4 grid: at most 8 variables, the most
+# `intersect` takes without a warning
+row_minors = st.sampled_from([(i, j) for i in range(1, 5) for j in range(i + 1, 5)]).map(
+    lambda cols: minor2(1, 2, *cols)
+)
 # binomials on a 2 x 2 grid, so that their leads overlap
 corner = st.dictionaries(
     st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), st.integers(1, 2), min_size=1, max_size=3
@@ -536,7 +553,7 @@ class TestAgainstTheReference:
         primes = minimal_primes(Graph.from_edges(4, sorted(edges)), 2)
         assume(len(primes) > 1)
         a, b = data.draw(st.permutations(primes))[:2]
-        with mock.patch.object(gbei.poly, "buchberger", reference_buchberger):
+        with mock.patch.object(gbei.poly, "buchberger", packed(reference_buchberger)):
             want = intersect(a.ideal, b.ideal).groebner()
         assert intersect(a.ideal, b.ideal).groebner() == want
 
@@ -569,7 +586,7 @@ class TestExactCoefficients:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the many-variable notice
             got = intersect(a, b).groebner()
-            with mock.patch.object(gbei.poly, "buchberger", reference_buchberger):
+            with mock.patch.object(gbei.poly, "buchberger", packed(reference_buchberger)):
                 want = intersect(a, b).groebner()
         assert exact(*got) and got == want
 
@@ -672,10 +689,13 @@ class TestAgainstTheChainCriterion:
         a, b = elimination_ideal_pair()
         chain = []
         with monkeypatch.context() as patch:
-            patch.setattr(gbei.poly, "buchberger", partial(reference_buchberger, formed=chain))
+            patch.setattr(gbei.poly, "buchberger", packed(partial(reference_buchberger, formed=chain)))
             want = intersect(a, b).groebner()
         assert intersect(a, b).groebner() == want
         assert 0 < len(s_pairs) <= len(chain)
+
+
+P4 = graph_of(4, (1, 2), (2, 3), (3, 4))
 
 
 class TestIdealOps:
@@ -713,6 +733,46 @@ class TestIdealOps:
     def test_intersection_with_self(self):
         a = Ideal([minor2(1, 2, 1, 2), minor2(1, 2, 2, 3)])
         assert ideal_equal(intersect(a, a), a)
+
+    @staticmethod
+    def assert_engine_basis_kept(ideal: Ideal):
+        """An intersection lives in the grid, and its cached basis, the
+        engine's packed elimination basis cut to its t-free elements, is
+        the engine's reduced basis of its generators."""
+        assert not any(ELIM in m.support for f in ideal.generators for m in f.terms)
+        assert tuple(ideal.groebner()) == tuple(buchberger(ideal.generators))
+
+    @pytest.mark.parametrize("g", [K2, P3, K3, CHERRY, P4], ids=["K2", "P3", "K3", "CHERRY", "P4"])
+    def test_folding_the_minimal_primes_keeps_the_engine_basis(self, g):
+        primes = minimal_primes(g, 2)
+        acc = primes[0].ideal
+        for p in primes[1:]:
+            acc = intersect(acc, p.ideal)
+            self.assert_engine_basis_kept(acc)
+        assert ideal_equal(acc, gbei_generators(g, 2))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(row_minors, min_size=1, max_size=3), st.lists(row_minors, min_size=1, max_size=3))
+    def test_intersecting_minor_ideals_keeps_the_engine_basis(self, a, b):
+        a, b = Ideal(a), Ideal(b)
+        got = intersect(a, b)
+        self.assert_engine_basis_kept(got)
+        for f in got.generators:
+            assert not normal_form(f, a.groebner())
+            assert not normal_form(f, b.groebner())
+
+    def test_intersection_with_the_zero_ideal_is_zero(self):
+        a = Ideal([minor2(1, 2, 1, 2)])
+        for got in (intersect(Ideal(()), Ideal(())), intersect(Ideal(()), a), intersect(a, Ideal(()))):
+            assert got.generators == () and tuple(got.groebner()) == ()
+
+    def test_intersection_with_the_unit_ideal_drops_the_lead_t(self):
+        # the elimination basis holds t itself, whose lead is the lowest
+        # bit of t's field: the first lead that is not t-free
+        a = Ideal([minor2(1, 2, 1, 2), minor2(1, 2, 2, 3)])
+        got = intersect(Ideal([Polynomial.term(ONE)]), a)
+        self.assert_engine_basis_kept(got)
+        assert tuple(got.groebner()) == tuple(a.groebner())
 
     def test_initial_monomials_of_cherry(self):
         ideal = Ideal([minor2(1, 2, 1, 2), minor2(1, 2, 1, 3)])
