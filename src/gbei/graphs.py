@@ -151,6 +151,13 @@ def _component_masks(adj: list[int], mask: int) -> list[int]:
     return comps
 
 
+def _is_path(adj: list[int], comp: int) -> bool:
+    """Whether the connected vertex mask `comp` induces a path: a tree (one
+    edge fewer than vertices) of maximum degree at most 2."""
+    degs = [(adj[v] & comp).bit_count() for v in _bits(comp)]
+    return sum(degs) == 2 * (len(degs) - 1) and max(degs) <= 2
+
+
 def _mask_vertices(mask: int) -> tuple[int, ...]:
     # not tuple(genexpr): its shrunk-in-place results pile up on the free lists
     return tuple([b + 1 for b in _bits(mask)])
@@ -347,17 +354,6 @@ def is_connected(g: Graph) -> bool:
     return len(_component_masks(g._adj, (1 << g.n) - 1)) == 1
 
 
-def components_within(g: Graph, vertices) -> tuple[tuple[int, ...], ...]:
-    """Components of the restriction to `vertices`, in original labels."""
-    mask = 0
-    for v in vertices:
-        if not (1 <= v <= g.n):
-            raise ValueError(f"vertex {v} outside 1..{g.n}")
-        mask |= 1 << (v - 1)
-    comps = _component_masks(g._adj, mask)
-    return tuple(sorted(_mask_vertices(m) for m in comps))
-
-
 def induced_subgraph(g: Graph, keep) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on `keep`, relabeled 1..k preserving vertex order.
     Returns the graph and the old-to-new label map."""
@@ -374,16 +370,6 @@ def induced_subgraph(g: Graph, keep) -> tuple[Graph, dict[int, int]]:
         if u in relabel and v in relabel
     ]
     return Graph.from_edges(len(kept), edges), relabel
-
-
-def is_path(g: Graph) -> bool:
-    """True for path graphs, including the one-vertex path."""
-    if not is_connected(g):
-        return False
-    if g.n == 1:
-        return True
-    degs = [m.bit_count() for m in g._adj]
-    return max(degs) <= 2 and degs.count(1) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,11 @@ from .graphs import (
     Graph,
     SizeCap,
     _bits,
+    _component_masks,
+    _is_path,
+    _mask_vertices,
     classify,
-    components_within,
-    connected_components,
     cut_set_census,
-    induced_subgraph,
-    is_path,
 )
 from .poly import Ideal, Monomial, Polynomial, Var
 
@@ -273,17 +272,24 @@ class FormulaResult:
 
 
 def depth_formula(g: Graph, rows: int) -> FormulaResult:
-    """Exact depth of the quotient: per connected component,
-    vertices + rows - 1 minus (i - 1) for each minimal cut set of each
-    cardinality i >= 2; components add."""
+    """Exact depth of the quotient, n + k * (rows - 1) minus |S| - 1 for
+    each minimal cut set S, k the number of components (the census's count
+    for the empty cut-point set): each component C adds its vertices plus
+    rows - 1 minus its own cut sets' correction.  Removing S splits only
+    the components S meets, so a minimal cut set of G is one of a single
+    component C.  Each vertex of S is adjacent to every component of C - S
+    (else S less it would still cut), so S is a minimal separator of C; in
+    a chordal graph that is a clique with a common neighbour in each full
+    component, so |S| < omega(C) and the paper's sum over
+    2 <= |S| < omega(C) leaves no cut set out."""
     return Analysis(g, rows).depth
 
 
 def regularity_formula(g: Graph, rows: int) -> FormulaResult:
-    """Regularity of the quotient: each component of size k contributes
-    k - 1, exactly when rows >= k or the component is a path, and as an
-    upper bound otherwise; components add, and the sum is exact when every
-    contribution is."""
+    """Regularity of the quotient, n - k for k connected components: each
+    component of size c contributes c - 1, exactly when rows >= c or the
+    component is a path (a tree of maximum degree at most 2), and as an
+    upper bound otherwise; the sum is exact when every contribution is."""
     return Analysis(g, rows).regularity
 
 
@@ -298,7 +304,8 @@ class Analysis:
     The module-level functions above (depth_formula, krull_dimension,
     initial_ideal, ...) each build a fresh Analysis and read one field;
     callers that need several of them should build one Analysis and read
-    them all from it.
+    them all from it.  A disconnected graph is analysed as one graph: its
+    classification and census hold every component's.
     """
 
     graph: Graph
@@ -316,30 +323,12 @@ class Analysis:
         return cut_set_census(self.graph)
 
     @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return connected_components(self.graph)
-
-    @property
-    def parts(self) -> tuple[Analysis, ...]:
-        """One analysis per connected component, relabeled 1..k in vertex
-        order.  A connected graph is its own only part, so it shares this
-        analysis rather than recomputing it on an equal copy."""
-        if len(self.components) == 1:
-            return (self,)
-        return self._component_analyses
-
-    @cached_property
-    def _component_analyses(self) -> tuple[Analysis, ...]:
-        return tuple(
-            Analysis(induced_subgraph(self.graph, comp)[0], self.rows)
-            for comp in self.components
-        )
-
-    @cached_property
     def generalized_block(self) -> bool:
         """Whether every connected component is a generalized block graph,
-        the hypothesis of the closed-form depth and regularity."""
-        return all(part.classification.generalized_block_graph for part in self.parts)
+        the hypothesis of the closed-form depth and regularity: chordality
+        holds per component, and the clique conditions read only the facets
+        through one vertex, which lie in that vertex's component."""
+        return self.classification.generalized_block_graph
 
     def _require_generalized_block(self):
         if not self.generalized_block:
@@ -352,33 +341,31 @@ class Analysis:
     def depth(self) -> FormulaResult:
         """See depth_formula."""
         self._require_generalized_block()
-        total = 0
-        corrected = False
-        for part in self.parts:
-            census = part.census
-            corr = sum((i - 1) * census.a(i) for i in range(2, census.clique_number))
-            if corr:
-                corrected = True
-            total += part.graph.n + (self.rows - 1) - corr
-        if corrected:
+        census = self.census
+        k = census._cut_point_masks[0]
+        corr = sum(m.bit_count() - 1 for m in census._minimal_masks)
+        total = self.graph.n + k * (self.rows - 1) - corr
+        if corr:
             origin = "generalized-block depth formula with cut-set correction"
         else:
             origin = "block-graph depth formula: vertices + rows - 1"
-        if len(self.parts) > 1:
-            origin += f", added over {len(self.parts)} components"
+        if k > 1:
+            origin += f", added over {k} components"
         return FormulaResult("depth", "exact", total, origin)
 
     @cached_property
     def regularity(self) -> FormulaResult:
         """See regularity_formula."""
         self._require_generalized_block()
-        value = sum(part.graph.n - 1 for part in self.parts)
-        if self.rows >= self.graph.n:
+        g, rows = self.graph, self.rows
+        comps = _component_masks(g._adj, (1 << g.n) - 1)
+        value = g.n - len(comps)
+        if rows >= g.n:
             return FormulaResult("regularity", "exact", value, "exact: row count at least vertex count")
-        paths = [is_path(part.graph) for part in self.parts]
+        paths = [_is_path(g._adj, c) for c in comps]
         if all(paths):
             return FormulaResult("regularity", "exact", value, "exact: every component is a path")
-        if all(path or self.rows >= part.graph.n for path, part in zip(paths, self.parts)):
+        if all(path or rows >= c.bit_count() for path, c in zip(paths, comps)):
             origin = "exact: every component is a path or has at most as many vertices as rows"
             return FormulaResult("regularity", "exact", value, origin)
         origin = "upper bound: fewer rows than vertices and a non-path component"
@@ -415,8 +402,8 @@ class Analysis:
             raise SizeCap(f"prime enumeration is exhaustive over subsets; n={g.n} > 12")
         primes = []
         for t in self.census.cut_point_sets:
-            rest = [v for v in range(1, g.n + 1) if v not in t]
-            comps = components_within(g, rest) if rest else ()
+            rest = (1 << g.n) - 1 - sum(1 << (v - 1) for v in t)
+            comps = tuple(sorted(_mask_vertices(m) for m in _component_masks(g._adj, rest)))
             gens: list[Polynomial] = [
                 Polynomial.variable((i, j)) for j in sorted(t) for i in range(1, rows + 1)
             ]

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from gbei.graphs import Graph, leaf_decomposition
+from gbei.graphs import Graph, _is_path, is_connected, leaf_decomposition
 from gbei.ideals import _minors_for_edges, gbei_generators, initial_ideal
 from gbei.poly import Ideal, Monomial, Polynomial, buchberger
 
@@ -24,6 +24,12 @@ C4 = graph_of(4, (1, 2), (2, 3), (3, 4), (1, 4))
 K4 = graph_of(4, (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 # three triangles glued along the common edge {1,2}
 FAN = graph_of(5, (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5))
+
+
+def is_path(g: Graph) -> bool:
+    """True for path graphs, including the one-vertex path."""
+    return is_connected(g) and _is_path(g._adj, (1 << g.n) - 1)
+
 
 # ---------------------------------------------------------------------------
 # monomial ideals and the structural identities the tests check

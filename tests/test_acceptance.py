@@ -16,7 +16,6 @@ from gbei.graphs import (
     Graph,
     cut_set_census,
     enumerate_connected_graphs,
-    is_path,
     leaf_decomposition,
 )
 from gbei.homology import hilbert_check, hochster_betti
@@ -31,7 +30,16 @@ from gbei.ideals import (
 )
 from gbei.poly import VarGrid, buchberger, ideal_equal, intersect
 
-from conftest import CHERRY, DEPTH_SWEEP, K2, K3, P3, initial_ideal_commutes_with_columns, monomial_ideal_equal
+from conftest import (
+    CHERRY,
+    DEPTH_SWEEP,
+    K2,
+    K3,
+    P3,
+    initial_ideal_commutes_with_columns,
+    is_path,
+    monomial_ideal_equal,
+)
 
 
 def _key(g: Graph, rows: int):

@@ -1,25 +1,34 @@
 """One analysis per (graph, rows): every report computes the cut-set census,
 the closed-form basis and the engine basis once and shares them among its
-consumers.  The closed form is validated against that same engine basis."""
+consumers.  The closed form is validated against that same engine basis.
+A disconnected graph is analysed as one graph, and its formulas are checked
+against the per-component route they replaced and against the oracle."""
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
 from functools import cached_property
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gbei.graphs
 import gbei.ideals
 import gbei.poly
 import gbei.report
+from gbei.graphs import Graph, classify, clique_complex, connected_components, induced_subgraph, is_connected
+from gbei.ideals import Analysis, FormulaResult
 from gbei.report import corpus_report, invariants_report, verify_report
 
 from conftest import C4, FAN, P3, graph_of
 
 # a path on three vertices next to an edge: two components
 P3_PLUS_K2 = graph_of(5, (1, 2), (2, 3), (4, 5))
+# a triangle next to an isolated vertex
+K3_PLUS_K1 = graph_of(4, (1, 2), (1, 3), (2, 3))
 
 
 @pytest.fixture
@@ -68,12 +77,35 @@ def test_one_census_and_one_basis_per_verify_report(calls, g, intersections):
     })
 
 
-def test_disconnected_graph_adds_one_census_per_component(calls):
+def test_disconnected_graph_shares_one_census(calls):
+    """The components' cut sets are read from the whole graph's census."""
     invariants_report(P3_PLUS_K2, 2)
-    assert calls == Counter({"_census_masks": 1 + 2})
+    assert calls == Counter({"_census_masks": 1})
     calls.clear()
     verify_report(P3_PLUS_K2, 2)
-    assert calls == Counter({"_census_masks": 1 + 2, "_closed_form_basis": 1, "buchberger": 1})
+    assert calls == Counter({"_census_masks": 1, "_closed_form_basis": 1, "buchberger": 1})
+
+
+@pytest.mark.parametrize("g", [FAN, P3_PLUS_K2, K3_PLUS_K1], ids=["FAN", "P3+K2", "K3+K1"])
+def test_one_component_pass_per_depth_and_regularity(g):
+    """Once the census is built, the depth reads its component count and
+    the regularity walks the components once, however the kernels are
+    imported."""
+    analysis = Analysis(g, 2)
+    analysis.census
+    names = {getattr(gbei.graphs, name).__code__: name for name in ("_component_masks", "_census_masks")}
+    seen: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            seen[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        analysis.depth, analysis.regularity
+    finally:
+        sys.setprofile(None)
+    assert seen == Counter({"_component_masks": 1})
 
 
 @pytest.mark.parametrize("verify", [False, True])
@@ -178,8 +210,130 @@ def test_one_engine_basis_per_verify_report(g):
     assert runs.count(True) == 1
 
 
-def test_connected_graph_is_its_own_only_part():
-    analysis = gbei.ideals.Analysis(FAN, 2)
-    assert analysis.parts == (analysis,) and analysis.parts[0] is analysis
-    split = gbei.ideals.Analysis(P3_PLUS_K2, 2)
-    assert [part.graph for part in split.parts] == [P3, graph_of(2, (1, 2))]
+# ---------------------------------------------------------------------------
+# the per-component route the whole-graph analysis replaced
+
+def reference_is_path(g: Graph) -> bool:
+    """A connected graph with maximum degree 2 and exactly two leaves, or
+    one vertex."""
+    if not is_connected(g):
+        return False
+    degs = [g.degree(v) for v in range(1, g.n + 1)]
+    return g.n == 1 or (max(degs) <= 2 and degs.count(1) == 2)
+
+
+def reference_formulas(g: Graph, rows: int) -> tuple[bool, FormulaResult | None, FormulaResult | None]:
+    """(generalized block, depth, regularity) from one analysis per
+    connected component, relabeled 1..k: each part's census gives its depth
+    over the cut-set cardinalities 2 <= i < its clique number, the parts'
+    values add, and the provenance is worded as the per-part route worded
+    it.  Depth and regularity are None off generalized block graphs."""
+    parts = [Analysis(induced_subgraph(g, comp)[0], rows) for comp in connected_components(g)]
+    if not all(part.classification.generalized_block_graph for part in parts):
+        return False, None, None
+    total = 0
+    corrected = False
+    for part in parts:
+        census = part.census
+        corr = sum((i - 1) * census.a(i) for i in range(2, census.clique_number))
+        corrected = corrected or corr > 0
+        total += part.graph.n + (rows - 1) - corr
+    if corrected:
+        origin = "generalized-block depth formula with cut-set correction"
+    else:
+        origin = "block-graph depth formula: vertices + rows - 1"
+    if len(parts) > 1:
+        origin += f", added over {len(parts)} components"
+    depth = FormulaResult("depth", "exact", total, origin)
+
+    value = sum(part.graph.n - 1 for part in parts)
+    paths = [reference_is_path(part.graph) for part in parts]
+    if rows >= g.n:
+        regularity = FormulaResult("regularity", "exact", value, "exact: row count at least vertex count")
+    elif all(paths):
+        regularity = FormulaResult("regularity", "exact", value, "exact: every component is a path")
+    elif all(path or rows >= part.graph.n for path, part in zip(paths, parts)):
+        origin = "exact: every component is a path or has at most as many vertices as rows"
+        regularity = FormulaResult("regularity", "exact", value, origin)
+    else:
+        origin = "upper bound: fewer rows than vertices and a non-path component"
+        regularity = FormulaResult("regularity", "upper-bound", value, origin)
+    return True, depth, regularity
+
+
+def assert_matches_reference(g: Graph, rows: int):
+    analysis = Analysis(g, rows)
+    gblock, depth, regularity = reference_formulas(g, rows)
+    assert analysis.generalized_block == gblock, g
+    if gblock:
+        assert (analysis.depth, analysis.regularity) == (depth, regularity), (g, rows)
+    else:
+        for name in ("depth", "regularity"):
+            with pytest.raises(ValueError):
+                getattr(analysis, name)
+
+
+def test_formulas_match_the_per_component_route_on_every_small_graph():
+    """Every labeled graph on at most 5 vertices, connected or not, at rows
+    2 to n + 1."""
+    cases = 0
+    for n in range(1, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            for rows in range(2, n + 2):
+                assert_matches_reference(g, rows)
+                cases += 1
+    assert cases == 1 * 1 + 2 * 2 + 8 * 3 + 64 * 4 + 1024 * 5
+
+
+@st.composite
+def connected_gblock_graphs(draw, max_n: int) -> Graph:
+    """A connected generalized block graph on 1..max_n vertices, randomly
+    labeled.  Each new vertex joins part of one facet, or the whole facet
+    when the part would leave the class; joining a whole facet F only
+    grows F, so no facet intersection changes."""
+    n = draw(st.integers(1, max_n))
+    edges: list[tuple[int, int]] = []
+    for k in range(2, n + 1):
+        facets = sorted(sorted(f) for f in clique_complex(Graph.from_edges(k - 1, edges)).facets)
+        facet = draw(st.sampled_from(facets))
+        nbrs = draw(st.sets(st.sampled_from(facet), min_size=1, max_size=len(facet)))
+        if not classify(Graph.from_edges(k, edges + [(v, k) for v in nbrs])).generalized_block_graph:
+            nbrs = facet
+        edges += [(v, k) for v in nbrs]
+    perm = draw(st.permutations(range(1, n + 1)))
+    return Graph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+
+
+@st.composite
+def gblock_unions(draw, max_n: int, max_parts: int = 4) -> Graph:
+    """A randomly labeled disjoint union of 2 to max_parts connected
+    generalized block graphs, isolated vertices among them, on at most
+    max_n vertices."""
+    parts = draw(st.integers(2, max_parts))
+    n = 0
+    edges: list[tuple[int, int]] = []
+    for left in range(parts - 1, -1, -1):
+        part = draw(connected_gblock_graphs(max_n - n - left))
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += part.n
+    perm = draw(st.permutations(range(1, n + 1)))
+    return Graph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+
+
+@settings(max_examples=100, deadline=None)
+@given(gblock_unions(16), st.integers(2, 6))
+def test_formulas_match_the_per_component_route_on_random_unions(g, rows):
+    assert not is_connected(g)
+    assert_matches_reference(g, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda rows: st.tuples(gblock_unions(12 // rows), st.just(rows))))
+def test_formulas_agree_with_the_oracle_on_random_unions(case):
+    """Within the oracle's default 12 variables, the depth and regularity
+    of a disconnected generalized block graph pass against the oracle."""
+    g, rows = case
+    checks = {c["name"]: c["status"] for c in verify_report(g, rows)["verification"]["checks"]}
+    assert checks["depth-vs-oracle"] == checks["regularity-vs-oracle"] == "pass", (g, rows)

@@ -5,9 +5,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gbei
 from gbei.cli import main
@@ -435,6 +441,37 @@ class TestConsecutiveCalls:
         code, out, err = run(capsys, "verify", "--graph", fan, "--rows", "2")
         assert code == 0 and err == ""
         assert "depth-vs-oracle: pass (oracle 5, formula 5)" in out
+
+
+@st.composite
+def any_graphs(draw) -> Graph:
+    """A graph on 1..7 vertices with any edge set: any class, possibly
+    disconnected."""
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(1, n + 1), 2))
+    return Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+class TestJsonContract:
+    """Every well-formed graph file gets a report: exit 0, canonical JSON
+    that re-renders byte-identically, and exit 3 under --strict exactly
+    when a stage was skipped."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_graphs(), st.integers(2, 4), st.booleans())
+    def test_every_graph_gets_a_canonical_report(self, g, rows, strict):
+        text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.sorted_edges())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            for command in (["classify"], ["invariants", "--rows", str(rows)], ["verify", "--rows", str(rows)]):
+                out = StringIO()
+                with redirect_stdout(out):
+                    code = main([*command, "--graph", path, "--json", *(["--strict"] if strict else [])])
+                report = json.loads(out.getvalue())
+                assert to_json(report) == out.getvalue()
+                assert code == (3 if strict and has_skip(report) else 0), (g, command)
 
 
 class TestVerdicts:

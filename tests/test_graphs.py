@@ -11,18 +11,16 @@ from gbei.graphs import (
     GraphParseError,
     classify,
     clique_complex,
-    components_within,
     connected_components,
     cut_set_census,
     enumerate_connected_graphs,
     induced_subgraph,
     is_connected,
-    is_path,
     leaf_decomposition,
     parse_graph,
 )
 
-from conftest import C4, FAN, K2, K3, K4, P3, P5, STAR, graph_of
+from conftest import C4, FAN, K2, K3, K4, P3, P5, STAR, graph_of, is_path
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +349,6 @@ class TestComponents:
         assert connected_components(g) == ((1,), (2, 4), (3, 5))
         assert not is_connected(g)
         assert is_connected(P5)
-
-    def test_components_within(self):
-        assert components_within(P5, [1, 2, 4, 5]) == ((1, 2), (4, 5))
-        assert components_within(P5, []) == ()
 
     def test_induced_subgraph_relabels_in_order(self):
         sub, relabel = induced_subgraph(P5, [2, 3, 5])
