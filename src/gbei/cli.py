@@ -18,13 +18,14 @@ from .graphs import GraphParseError, SizeCap, parse_graph
 from .report import (
     DEFAULT_MAX_VARS,
     classify_report,
-    corpus_report,
+    corpus_stream,
     has_failure,
     has_skip,
     invariants_report,
     render_text,
     to_json,
     verify_report,
+    write_corpus,
 )
 
 EXIT_OK = 0
@@ -84,10 +85,6 @@ def _load_graph(path: str):
         return parse_graph(fh.read())
 
 
-def _emit(report: dict, as_json: bool):
-    sys.stdout.write(to_json(report) if as_json else render_text(report))
-
-
 def _input_error(err) -> int:
     print(f"gbei: error: {err}", file=sys.stderr)
     return EXIT_INPUT_ERROR
@@ -99,9 +96,11 @@ def main(argv=None) -> int:
         return _input_error(f"need at least 2 rows, got {args.rows}")
     if getattr(args, "enumerate_n", 1) < 1:
         return _input_error("need n >= 1")
+    if getattr(args, "max_vars", 0) < 0:
+        return _input_error(f"need --max-vars >= 0, got {args.max_vars}")
     try:
         if args.command == "corpus":
-            report = corpus_report(
+            report = corpus_stream(
                 args.enumerate_n,
                 args.rows,
                 args.filter,
@@ -122,10 +121,15 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, GraphParseError, SizeCap) as err:
         return _input_error(err)  # any other error is a defect, not bad input
 
-    _emit(report, args.json)
-    if has_failure(report):
+    if args.command == "corpus":  # each row is written as it is built
+        tally = write_corpus(sys.stdout, report, args.json)
+        failed, skipped = tally.summary["fail"] > 0, tally.skipped
+    else:
+        sys.stdout.write(to_json(report) if args.json else render_text(report))
+        failed, skipped = has_failure(report), has_skip(report)
+    if failed:
         return EXIT_VERIFICATION_FAILED
-    if args.strict and has_skip(report):
+    if args.strict and skipped:
         return EXIT_STRICT_SKIP
     return EXIT_OK
 

@@ -6,13 +6,18 @@ optional verification block with one pass/fail/skipped verdict per check.
 The same dict drives both renderings; the text view contains exactly the
 numbers of the structured view.  JSON serialization is canonical (sorted
 keys, fixed separators) so that parse + re-render is byte-identical.
+A corpus report can also be written one row at a time (`write_corpus`),
+from rows that are built as they are read (`corpus_stream`), so that its
+memory does not grow with the row count.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import time
 from contextlib import contextmanager
+from itertools import chain, islice
 
 from .graphs import (
     Classification,
@@ -280,21 +285,41 @@ def _corpus_row(g: Graph, rows: int, verify: bool, max_vars: int, with_primes: b
     return entry
 
 
-def corpus_report(n: int, rows: int, filter_name: str, verify: bool, max_vars: int = DEFAULT_MAX_VARS, with_primes: bool = False) -> dict:
-    rows_out = [
-        _corpus_row(g, rows, verify, max_vars, with_primes)
-        for g in enumerate_connected_graphs(n, None if filter_name == "all" else filter_name)
-    ]
-    counts = {"pass": 0, "fail": 0, "skipped": 0}
-    for entry in rows_out:
-        counts[entry["verdict"]] += 1
+def corpus_stream(n: int, rows: int, filter_name: str, verify: bool, max_vars: int = DEFAULT_MAX_VARS, with_primes: bool = False) -> dict:
+    """The corpus report without its summary, with `rows` an iterator that
+    builds each entry when it is read.  The enumeration's caps raise here,
+    before any entry is built or written."""
+    graphs = enumerate_connected_graphs(n, None if filter_name == "all" else filter_name)
+    first = list(islice(graphs, 1))
     return {
         "schemaVersion": SCHEMA_VERSION,
         "command": "corpus",
         "input": {"vertices": n, "rows": rows, "filter": filter_name},
-        "rows": rows_out,
-        "summary": {"graphs": len(rows_out), **counts},
+        "rows": (_corpus_row(g, rows, verify, max_vars, with_primes) for g in chain(first, graphs)),
     }
+
+
+class CorpusTally:
+    """The corpus summary, and whether a verdict or a formula block was
+    skipped (what --strict reads), counted one entry at a time."""
+
+    def __init__(self):
+        self.summary = {"graphs": 0, "pass": 0, "fail": 0, "skipped": 0}
+        self.skipped = False
+
+    def add(self, entry: dict) -> dict:
+        self.summary["graphs"] += 1
+        self.summary[entry["verdict"]] += 1
+        self.skipped |= entry["verdict"] == "skipped" or entry["formulas"]["status"] == "skipped"
+        return entry
+
+
+def corpus_report(n: int, rows: int, filter_name: str, verify: bool, max_vars: int = DEFAULT_MAX_VARS, with_primes: bool = False) -> dict:
+    report = corpus_stream(n, rows, filter_name, verify, max_vars, with_primes)
+    tally = CorpusTally()
+    report["rows"] = [tally.add(entry) for entry in report["rows"]]
+    report["summary"] = tally.summary
+    return report
 
 
 def verdict_of(checks) -> str:
@@ -325,8 +350,50 @@ def has_skip(report: dict) -> bool:
     return skipped_census or skipped_formula or skipped_check
 
 
+# a report is a tree of fresh dicts and lists, so the per-container cycle
+# check, which costs most on the small per-row calls of write_corpus, is off
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(report) + "\n"
+
+
+def write_corpus(out, report: dict, as_json: bool) -> CorpusTally:
+    """Write a corpus report to `out` one entry at a time, as canonical JSON
+    (byte for byte `to_json` of the whole report) or as text, and return
+    the tally of what was written.  `report["rows"]` may be an iterator;
+    the summary is counted from the rows, not read from the report.  In
+    canonical key order the rows come before the summary, so no entry is
+    held once it is written."""
+    tally = CorpusTally()
+    if as_json:
+        enc = _ENCODER.encode
+        out.write('{"command":' + enc(report["command"]) + ',"input":' + enc(report["input"]) + ',"rows":[')
+        sep = ""
+        for entry in report["rows"]:
+            out.write(sep + enc(tally.add(entry)))
+            sep = ","
+        out.write('],"schemaVersion":' + enc(report["schemaVersion"]) + ',"summary":' + enc(tally.summary) + "}\n")
+        return tally
+    inp = report["input"]
+    out.write(f"corpus: connected graphs on {inp['vertices']} vertices, rows={inp['rows']}, filter={inp['filter']}\n")
+    for idx, entry in enumerate(report["rows"], start=1):
+        out.write(_corpus_line(idx, tally.add(entry)))
+    s = tally.summary
+    out.write(f"summary: {s['graphs']} graphs, {s['pass']} pass, {s['fail']} fail, {s['skipped']} skipped\n")
+    return tally
+
+
+def _corpus_line(idx: int, row: dict) -> str:
+    edges = " ".join(f"{u}-{v}" for u, v in row["edges"])
+    tags = ["gblock"] if row["classification"]["generalizedBlockGraph"] else []
+    form = row["formulas"]
+    if form["status"] == "ok":
+        tags.append(f"depth={form['depth']['value']}")
+        rel = "=" if form["regularity"]["kind"] == "exact" else "<="
+        tags.append(f"reg{rel}{form['regularity']['value']}")
+    return f"  #{idx} [{row['verdict']}] {edges or '(no edges)'} {' '.join(tags)}".rstrip() + "\n"
 
 
 def _fmt_set(s) -> str:
@@ -334,34 +401,14 @@ def _fmt_set(s) -> str:
 
 
 def render_text(report: dict) -> str:
-    lines = []
-    cmd = report["command"]
-    if cmd == "corpus":
-        inp = report["input"]
-        lines.append(
-            f"corpus: connected graphs on {inp['vertices']} vertices, rows={inp['rows']}, filter={inp['filter']}"
-        )
-        for idx, row in enumerate(report["rows"], start=1):
-            edges = " ".join(f"{u}-{v}" for u, v in row["edges"])
-            cls = row["classification"]
-            tags = []
-            if cls["generalizedBlockGraph"]:
-                tags.append("gblock")
-            form = row["formulas"]
-            if form["status"] == "ok":
-                tags.append(f"depth={form['depth']['value']}")
-                rel = "=" if form["regularity"]["kind"] == "exact" else "<="
-                tags.append(f"reg{rel}{form['regularity']['value']}")
-            lines.append(f"  #{idx} [{row['verdict']}] {edges or '(no edges)'} {' '.join(tags)}".rstrip())
-        s = report["summary"]
-        lines.append(
-            f"summary: {s['graphs']} graphs, {s['pass']} pass, {s['fail']} fail, {s['skipped']} skipped"
-        )
-        return "\n".join(lines) + "\n"
+    if report["command"] == "corpus":
+        buf = io.StringIO()
+        write_corpus(buf, report, as_json=False)
+        return buf.getvalue()
 
     inp = report["input"]
     edges = " ".join(f"{u}-{v}" for u, v in inp["edges"])
-    lines.append(f"graph: {inp['vertices']} vertices; edges: {edges or '(none)'}")
+    lines = [f"graph: {inp['vertices']} vertices; edges: {edges or '(none)'}"]
     if "rows" in inp:
         lines.append(f"rows: {inp['rows']}")
     c = report["classification"]

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stdout
 from io import StringIO
 from itertools import combinations
@@ -130,6 +131,13 @@ class TestInvariants:
     def test_rows_are_checked_before_the_graph_is_read(self, capsys):
         code, _, err = run(capsys, "verify", "--graph", "/nonexistent/g.txt", "--rows", "0")
         assert code == 2 and err == "gbei: error: need at least 2 rows, got 0\n"
+
+    @pytest.mark.parametrize(
+        "command", [["verify", "--graph", "/nonexistent/g.txt"], ["corpus", "--enumerate", "3"]], ids=["verify", "corpus"]
+    )
+    def test_a_negative_max_vars_is_checked_before_any_work(self, capsys, command):
+        code, out, err = run(capsys, *command, "--rows", "2", "--max-vars", "-5", "--strict")
+        assert (code, out, err) == (2, "", "gbei: error: need --max-vars >= 0, got -5\n")
 
     def test_non_gblock_skips_formulas(self, capsys, graph_file):
         code, out, _ = run(
@@ -383,8 +391,9 @@ class TestCorpus:
         assert "summary: 38 graphs" in out
 
     def test_enumeration_guard(self, capsys):
-        code, _, err = run(capsys, "corpus", "--enumerate", "8", "--rows", "2")
-        assert code == 2 and "n=8 > 7" in err
+        for mode in ([], ["--json"]):
+            code, out, err = run(capsys, "corpus", "--enumerate", "8", "--rows", "2", *mode)
+            assert code == 2 and out == "" and "n=8 > 7" in err
 
     @pytest.mark.parametrize("n, rows, message", [(0, 2, "need n >= 1"), (3, 1, "need at least 2 rows, got 1")])
     def test_counts_are_checked_before_any_work(self, capsys, monkeypatch, n, rows, message):
@@ -396,6 +405,85 @@ class TestCorpus:
         code, out, _ = run(capsys, "corpus", "--enumerate", "3", "--rows", "2", "--json")
         assert code == 0
         assert to_json(json.loads(out)) == out
+
+
+@pytest.fixture(scope="module")
+def built_rows() -> dict:
+    return {}
+
+
+@pytest.fixture
+def shared_rows(monkeypatch, built_rows):
+    """Each corpus entry is built once in this module however many calls
+    read it, so streamed runs and `corpus_report` compare the same entries,
+    and a filtered corpus reuses the entries of `--filter all`."""
+    build = gbei.report._corpus_row
+
+    def row(g, *args):
+        key = (tuple(g.sorted_edges()), *args)
+        if key not in built_rows:
+            built_rows[key] = build(g, *args)
+        return built_rows[key]
+
+    monkeypatch.setattr("gbei.report._corpus_row", row)
+
+
+def expected_exit(rep: dict, strict: bool) -> int:
+    return 1 if has_failure(rep) else 3 if strict and has_skip(rep) else 0
+
+
+def assert_streams_the_report(capsys, n: int, rows: int, filt: str, flags: list[str]):
+    """`corpus` writes `to_json` and `render_text` of `corpus_report`, byte
+    for byte, and exits as `has_failure` and `has_skip` on it say."""
+    rep = corpus_report(n, rows, filt, "--verify" in flags)
+    argv = ["corpus", "--enumerate", str(n), "--rows", str(rows), "--filter", filt, *flags]
+    assert run(capsys, *argv, "--json", "--strict") == (expected_exit(rep, True), to_json(rep), "")
+    assert run(capsys, *argv) == (expected_exit(rep, False), render_text(rep), "")
+
+
+class TestCorpusStream:
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+    @pytest.mark.parametrize("filt", ["gblock", "block", "all"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_output_and_exit_match_the_report(self, capsys, shared_rows, n, filt, verify):
+        for rows in (2, 3, 4):
+            assert_streams_the_report(capsys, n, rows, filt, verify)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("verdict", "fail"), ("verdict", "skipped"), ("formulas", {"status": "skipped", "reason": "r"})],
+        ids=["failed-row", "skipped-verdict", "skipped-formulas"],
+    )
+    def test_one_changed_row_sets_the_exit_code(self, capsys, shared_rows, monkeypatch, field, value):
+        build = gbei.report._corpus_row
+
+        def row(g, *args):
+            entry = build(g, *args)
+            return {**entry, field: value} if g.sorted_edges() == [(1, 2), (2, 3), (3, 4)] else entry
+
+        monkeypatch.setattr("gbei.report._corpus_row", row)
+        rep = corpus_report(4, 2, "gblock", False)
+        assert (has_failure(rep), has_skip(rep)) == (value == "fail", value != "fail")
+        assert_streams_the_report(capsys, 4, 2, "gblock", [])
+
+    def test_memory_does_not_grow_with_the_row_count(self):
+        """The 6,582 rows of the 6-vertex corpus pass through a discarding
+        writer with a traced peak under 1 MiB: no row list and no whole
+        output string is held."""
+
+        class Discard:
+            def write(self, text: str) -> int:
+                return len(text)
+
+        with redirect_stdout(Discard()):
+            main(["corpus", "--enumerate", "3", "--rows", "2", "--json"])  # warm-up: lazy imports and caches
+            tracemalloc.start()
+            try:
+                code = main(["corpus", "--enumerate", "6", "--rows", "2", "--json"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0 and peak < 1024 * 1024
 
 
 class TestConsecutiveCalls:
