@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(path: str):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         return parse_graph(fh.read())
 
 

@@ -17,7 +17,6 @@ neighborhoods at removal, plus Bron-Kerbosch on whatever is left.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 
@@ -31,6 +30,28 @@ class GraphParseError(ValueError):
 
 class SizeCap(ValueError):
     """Valid input past a size cap; the message is the reason a report prints."""
+
+
+class _cached_field:
+    """functools.cached_property without its lock (Python 3.12 dropped it;
+    3.10 and 3.11 take an RLock on every first read).  The value is stored
+    in the instance's __dict__, which later reads find first, since this
+    descriptor defines no __set__; it bypasses a frozen dataclass's
+    __setattr__ as cached_property does.  Two threads reading one field
+    first at once may both compute it, as on 3.12."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -66,7 +87,7 @@ class Graph:
             raise ValueError(f"vertex {v} outside 1..{self.n}")
         return self._adj[v - 1].bit_count()
 
-    @cached_property
+    @_cached_field
     def _adj(self) -> list[int]:
         adj = [0] * self.n
         for u, v in self.edges:
@@ -74,7 +95,7 @@ class Graph:
             adj[v - 1] |= 1 << (u - 1)
         return adj
 
-    @cached_property
+    @_cached_field
     def _facets(self) -> tuple[list[int], bool]:
         """(maximal clique masks, chordal flag), computed once per graph and
         shared by classify, cut_set_census and clique_complex; a filtered
@@ -87,13 +108,14 @@ class Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the edge-list format: comment lines start with '#', the first
-    data line is the vertex count, every further data line is 'u v'."""
+    """Parse the edge-list format: a '#' starts a comment that runs to the
+    end of its line, blank lines are skipped, the first data line is the
+    vertex count, and every further data line is 'u v'."""
     n = None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         tokens = line.split()
         if n is None:
@@ -402,18 +424,18 @@ class CutSetCensus:
     def counts(self) -> dict[int, int]:
         return {i: self.a(i) for i in range(1, self.clique_number)}
 
-    @cached_property
+    @_cached_field
     def minimal_cut_sets(self) -> dict[int, tuple[frozenset[int], ...]]:
         groups: dict[int, list[frozenset[int]]] = {}
         for m in self._minimal_masks:
             groups.setdefault(m.bit_count(), []).append(frozenset(_mask_vertices(m)))
         return {k: tuple(sorted(v, key=sorted)) for k, v in sorted(groups.items())}
 
-    @cached_property
+    @_cached_field
     def component_counts(self) -> dict[frozenset[int], int]:
         return {frozenset(_mask_vertices(t)): c for t, c in self._cut_point_masks.items()}
 
-    @cached_property
+    @_cached_field
     def cut_point_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(sorted(self.component_counts, key=lambda s: (len(s), sorted(s))))
 
@@ -611,9 +633,11 @@ def enumerate_connected_graphs(n: int, classification: str | None = None):
     classes are hereditary (the facets of G - v are the maximal members of
     {F - v}, and their intersections only lose v), so a prefix that leaves
     the class is dropped at once, and its facets are extended vertex by
-    vertex (see _add_vertex) and cached on the yielded graph.  Connectivity
-    is tested once the last vertex is placed.  Unfiltered, the search visits
-    all 2^C(n,2) edge sets, so n is capped at 7.
+    vertex (see _add_vertex) and cached on the yielded graph.  The last
+    vertex tries only the neighborhoods that meet every component of the
+    graph already placed, so every leaf is connected and none is built to
+    be dropped.  Unfiltered, the search still tries all 2^C(n,2) edge sets,
+    so n is capped at 7.
     """
     if n > 7:
         raise SizeCap(f"enumeration is exponential in C(n,2); n={n} > 7")
@@ -628,20 +652,23 @@ def enumerate_connected_graphs(n: int, classification: str | None = None):
 
     def place(k: int, facets: list[int]):
         if k < 0:
-            if len(_component_masks(adj, full)) == 1:
-                edges = [(u + 1, v + 1) for u in range(n) for v in _bits(adj[u] >> (u + 1) << (u + 1))]
-                g = Graph.from_edges(n, edges)
-                # the yielded graph keeps what the search built, stored where
-                # its cached properties would store it
-                vars(g)["_adj"] = list(adj)
-                if want != "all":
-                    vars(g)["_facets"] = (facets, True)
-                yield g
+            edges = [(u + 1, v + 1) for u in range(n) for v in _bits(adj[u] >> (u + 1) << (u + 1))]
+            g = Graph(n, frozenset(edges))
+            # the yielded graph keeps what the search built, stored where
+            # its cached fields would store it
+            vars(g)["_adj"] = list(adj)
+            if want != "all":
+                vars(g)["_facets"] = (facets, True)
+            yield g
             return
         bit = 1 << k
         placed = full & ~((bit << 1) - 1)
+        # a last vertex that misses a component leaves the graph disconnected
+        comps = _component_masks(adj, placed) if k == 0 else ()
         for m in range(1 << (n - 1 - k)):
             nbrs = m << (k + 1)
+            if comps and not all(nbrs & c for c in comps):
+                continue
             out = facets
             if want != "all":
                 out = _add_vertex(adj, facets, placed, k, nbrs, want)

@@ -18,7 +18,6 @@ generalized block graphs.  Everything is exact and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
 from .graphs import (
@@ -27,6 +26,7 @@ from .graphs import (
     Graph,
     SizeCap,
     _bits,
+    _cached_field,
     _component_masks,
     _is_path,
     _mask_vertices,
@@ -314,15 +314,15 @@ class Analysis:
     def __post_init__(self):
         _require_rows(self.rows)
 
-    @cached_property
+    @_cached_field
     def classification(self) -> Classification:
         return classify(self.graph)
 
-    @cached_property
+    @_cached_field
     def census(self) -> CutSetCensus:
         return cut_set_census(self.graph)
 
-    @cached_property
+    @_cached_field
     def generalized_block(self) -> bool:
         """Whether every connected component is a generalized block graph,
         the hypothesis of the closed-form depth and regularity: chordality
@@ -337,7 +337,7 @@ class Analysis:
                 "component is a generalized block graph"
             )
 
-    @cached_property
+    @_cached_field
     def depth(self) -> FormulaResult:
         """See depth_formula."""
         self._require_generalized_block()
@@ -353,7 +353,7 @@ class Analysis:
             origin += f", added over {k} components"
         return FormulaResult("depth", "exact", total, origin)
 
-    @cached_property
+    @_cached_field
     def regularity(self) -> FormulaResult:
         """See regularity_formula."""
         self._require_generalized_block()
@@ -371,7 +371,7 @@ class Analysis:
         origin = "upper bound: fewer rows than vertices and a non-path component"
         return FormulaResult("regularity", "upper-bound", value, origin)
 
-    @cached_property
+    @_cached_field
     def prime_dimensions(self) -> dict[frozenset[int], int]:
         """Dimension of the minimal prime of each cut-point set T:
         n - |T| + c(T) * (rows - 1)."""
@@ -381,20 +381,20 @@ class Analysis:
             for t in census.cut_point_sets
         }
 
-    @cached_property
+    @_cached_field
     def dimension(self) -> int:
         """Krull dimension of the quotient: the largest prime dimension,
         read from the census masks."""
         n, r = self.graph.n, self.rows - 1
         return max(n - t.bit_count() + c * r for t, c in self.census._cut_point_masks.items())
 
-    @cached_property
+    @_cached_field
     def unmixed(self) -> bool:
         """See is_unmixed."""
         r = self.rows - 1
         return all((c - 1) * r == t.bit_count() for t, c in self.census._cut_point_masks.items())
 
-    @cached_property
+    @_cached_field
     def minimal_primes(self) -> tuple[MinimalPrime, ...]:
         """One prime per cut-point set, in census order."""
         g, rows = self.graph, self.rows
@@ -414,13 +414,13 @@ class Analysis:
             ))
         return tuple(primes)
 
-    @cached_property
+    @_cached_field
     def ideal(self) -> Ideal:
         """The ideal on its defining generators; every check that compares
         against the engine's basis shares one Buchberger run."""
         return gbei_generators(self.graph, self.rows)
 
-    @cached_property
+    @_cached_field
     def basis(self) -> Ideal:
         """See rauh_basis.  The admissible paths are enumerated first, so a
         graph past their cap never reaches the engine; the closed form is
@@ -436,7 +436,7 @@ class Analysis:
             )
         return self.ideal
 
-    @cached_property
+    @_cached_field
     def initial_ideal(self) -> tuple[Monomial, ...]:
         """See initial_ideal; raises BasisValidationError on a
         non-squarefree lead."""

@@ -19,7 +19,16 @@ import gbei.graphs
 import gbei.ideals
 import gbei.poly
 import gbei.report
-from gbei.graphs import Graph, classify, clique_complex, connected_components, induced_subgraph, is_connected
+from gbei.graphs import (
+    CutSetCensus,
+    Graph,
+    classify,
+    clique_complex,
+    connected_components,
+    cut_set_census,
+    induced_subgraph,
+    is_connected,
+)
 from gbei.ideals import Analysis, FormulaResult
 from gbei.report import corpus_report, invariants_report, verify_report
 
@@ -186,6 +195,33 @@ def test_one_facet_computation_per_enumerated_graph(facet_runs):
     report = corpus_report(4, 2, "gblock", False)
     assert report["summary"]["graphs"] == 35
     assert facet_runs == []
+
+
+FRESH = {
+    Graph: lambda: graph_of(3, (1, 2), (2, 3)),
+    CutSetCensus: lambda: cut_set_census(graph_of(3, (1, 2), (2, 3))),
+    Analysis: lambda: Analysis(graph_of(3, (1, 2), (2, 3)), 2),
+}
+
+
+@pytest.mark.parametrize("cls", list(FRESH), ids=lambda cls: cls.__name__)
+def test_each_cached_field_runs_once_per_instance(monkeypatch, cls):
+    """The frozen dataclasses keep their derived fields in the instance's
+    __dict__, computed on first read; the class holds the descriptor, whose
+    .func is the function it caches."""
+    assert cls.__dataclass_params__.frozen
+    assert not any(isinstance(attr, cached_property) for attr in vars(cls).values())
+    fields = {name: attr for name, attr in vars(cls).items() if isinstance(attr, gbei.graphs._cached_field)}
+    assert len(fields) >= 2
+    runs: Counter = Counter()
+    for name, field in fields.items():
+        assert getattr(cls, name) is field and field.func.__name__ == name
+        monkeypatch.setattr(field, "func", lambda self, real=field.func, name=name: runs.update([name]) or real(self))
+    for obj in (FRESH[cls](), FRESH[cls]()):
+        first = {name: getattr(obj, name) for name in fields}
+        assert all(getattr(obj, name) is value for name, value in first.items())
+        assert all(vars(obj)[name] is value for name, value in first.items())
+    assert runs == Counter(dict.fromkeys(fields, 2))
 
 
 @pytest.mark.parametrize("g", [P3, C4], ids=["P3", "C4"])

@@ -97,6 +97,18 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "--graph", str(path))
         assert code == 2 and out == "" and "codec can't decode" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["\ufeff" + P5_TEXT, P5_TEXT.replace("5\n", "5  # vertices\n", 1).replace("2 3\n", "2 3 # middle\n")],
+        ids=["byte-order-mark", "trailing-comments"],
+    )
+    def test_a_marked_file_reads_as_the_plain_file(self, capsys, graph_file, text):
+        for command in (["classify"], ["invariants", "--rows", "2"]):
+            _, plain, _ = run(capsys, *command, "--graph", graph_file("plain.txt", P5_TEXT))
+            code, out, err = run(capsys, *command, "--graph", graph_file("marked.txt", text))
+            assert code == 0 and err == ""
+            assert drop_timings(out) == drop_timings(plain)
+
     def test_parse_error_is_an_input_error(self, capsys, graph_file):
         code, _, err = run(capsys, "classify", "--graph", graph_file("bad.txt", "3\n1 9\n"))
         assert code == 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -155,6 +156,12 @@ class TestParsing:
 
     def test_duplicate_edges_collapse(self):
         assert parse_graph("3\n1 2\n2 1\n2 3\n") == P3
+
+    def test_a_comment_may_end_a_data_line(self):
+        assert parse_graph("3  # vertices\n1 2 # first edge\n2 3#\n") == parse_graph("3\n1 2\n2 3\n") == P3
+        with pytest.raises(GraphParseError) as err:
+            parse_graph("3\n1 2\n2 # 3\n")
+        assert err.value.line == 3
 
 
 class TestChordality:
@@ -486,6 +493,38 @@ class TestEnumeration:
                     want, want_chordal = gbei.graphs._facet_masks(g._adj)
                     assert set(facets) == set(want) and len(facets) == len(want) and chordal == want_chordal, g
             assert all(a < b for a, b in zip(masks, masks[1:])), n
+
+    @pytest.mark.parametrize("classification", [None, "chordal", "block", "gblock"])
+    def test_the_last_vertex_tries_only_neighborhoods_meeting_every_component(self, monkeypatch, classification):
+        """A last neighborhood that misses a component of the graph already
+        placed gives a disconnected graph: the filter never sees one, and
+        unfiltered, components are found once per placed graph, never per
+        leaf."""
+        real_add, real_components = gbei.graphs._add_vertex, gbei.graphs._component_masks
+        misses = []
+        tried = searches = 0
+
+        def add_vertex(adj, facets, placed, k, nbrs, want):
+            nonlocal tried
+            if k == 0:
+                tried += 1
+                misses.extend(c for c in real_components(adj, placed) if not nbrs & c)
+            return real_add(adj, facets, placed, k, nbrs, want)
+
+        def component_masks(adj, mask):
+            nonlocal searches
+            searches += 1
+            return real_components(adj, mask)
+
+        monkeypatch.setattr(gbei.graphs, "_add_vertex", add_vertex)
+        monkeypatch.setattr(gbei.graphs, "_component_masks", component_masks)
+        for n in range(1, 7):
+            searches = 0
+            list(enumerate_connected_graphs(n, classification))
+            assert misses == [], n
+            if classification is None:  # one search per graph on vertices 2..n
+                assert searches == (2 ** comb(n - 1, 2) if n > 1 else 0), n
+        assert (tried > 0) == (classification is not None)
 
     def test_filter_semantics(self):
         for g in enumerate_connected_graphs(4, "block"):
