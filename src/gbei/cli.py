@@ -17,6 +17,7 @@ import sys
 from .graphs import GraphParseError, SizeCap, parse_graph
 from .report import (
     DEFAULT_MAX_VARS,
+    PRIME_CHECK_DEFAULT_LIMIT,
     classify_report,
     corpus_stream,
     has_failure,
@@ -34,19 +35,23 @@ EXIT_INPUT_ERROR = 2
 EXIT_STRICT_SKIP = 3
 
 
-def _add_graph_flags(sub: argparse.ArgumentParser, rows_required: bool):
-    sub.add_argument("--graph", required=True, metavar="PATH", help="graph file")
-    if rows_required:
+def _add_shared_flags(sub: argparse.ArgumentParser, rows: bool, strict_help: str):
+    if rows:
         sub.add_argument("--rows", required=True, type=int, metavar="M", help="row count m >= 2")
     sub.add_argument("--json", action="store_true", help="canonical JSON instead of text")
-    sub.add_argument("--strict", action="store_true", help="exit 3 when any stage is skipped")
+    sub.add_argument("--strict", action="store_true", help=strict_help)
+
+
+def _add_graph_flags(sub: argparse.ArgumentParser, rows_required: bool):
+    sub.add_argument("--graph", required=True, metavar="PATH", help="graph file")
+    _add_shared_flags(sub, rows_required, "exit 3 when any stage is skipped")
 
 
 def _add_check_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--max-vars", type=int, default=DEFAULT_MAX_VARS, metavar="V",
                      help="largest grid (rows x vertices) the homology oracle will attempt")
     sub.add_argument("--with-primes", action="store_true",
-                     help="force the prime-intersection check past 8 variables")
+                     help=f"force the prime-intersection check past {PRIME_CHECK_DEFAULT_LIMIT} variables")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,12 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("corpus", help="sweep all connected graphs of a given size")
     p.add_argument("--enumerate", required=True, type=int, metavar="N", dest="enumerate_n",
                    help="vertex count, at most 7")
-    p.add_argument("--rows", required=True, type=int, metavar="M")
+    _add_shared_flags(p, True, "exit 3 when some graph's checks were all skipped, or its formulas were")
     p.add_argument("--filter", choices=["gblock", "block", "all"], default="gblock")
     p.add_argument("--verify", action="store_true", help="run the verification checks per graph")
     _add_check_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--strict", action="store_true")
 
     return parser
 

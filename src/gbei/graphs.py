@@ -334,19 +334,39 @@ class Classification:
     clique_number: int
 
 
+def _common_meet(through: list[int]) -> int | None:
+    """The set in which the facets `through` one vertex pairwise meet, or
+    None when two pairs meet in different sets (then some triple does too).
+    One set S is met exactly when S is the common part and the parts beyond
+    it are disjoint: sum |F| - |union| = (k - 1) |S| for k facets."""
+    common, union, total = -1, 0, 0
+    for f in through:
+        common &= f
+        union |= f
+        total += f.bit_count()
+    if total - union.bit_count() != (len(through) - 1) * common.bit_count():
+        return None
+    return common
+
+
 def _classify_masks(facets: list[int], chordal: bool) -> tuple[bool, bool, bool, int]:
     omega = max(m.bit_count() for m in facets)
     if not chordal:
         return False, False, False, omega
-    # facets that meet share a vertex: compare them only within the facets
-    # through one vertex, not over all pairs and triples
+    # facets that meet share a vertex: test them only within the facets
+    # through one vertex; a block graph's facets there meet in {v} alone
     through: dict[int, list[int]] = {}
     for f in facets:
         for v in _bits(f):
             through.setdefault(v, []).append(f)
-    block = all((a & b).bit_count() <= 1 for fs in through.values() for a, b in combinations(fs, 2))
-    gblock = all(a & b == b & c == a & c for fs in through.values() for a, b, c in combinations(fs, 3))
-    return True, block, gblock, omega
+    block = True
+    for v, fs in through.items():
+        if len(fs) > 1:
+            common = _common_meet(fs)
+            if common is None:
+                return True, False, False, omega
+            block = block and common == 1 << v
+    return True, block, True, omega
 
 
 def classify(g: Graph) -> Classification:
@@ -601,22 +621,13 @@ def _add_vertex(adj: list[int], facets: list[int], placed: int, k: int, nbrs: in
     out = [f for f in facets if f & ~nbrs] + [m | bit for m in joined]
     if want == "chordal":
         return out
-    # only a vertex of a new facet has new facets through it.  Facets
-    # through v meet pairwise in their common part exactly when what they
-    # hold beyond it is disjoint; a block graph's common part is v alone
+    # only a vertex of a new facet has new facets through it
     for v in _bits(nbrs | bit):
         through = [f for f in out if f >> v & 1]
-        common = through[0]
-        for f in through:
-            common &= f
-        if want == "block" and len(through) > 1 and common != 1 << v:
-            return None
-        rest = total = 0
-        for f in through:
-            rest |= f & ~common
-            total += (f & ~common).bit_count()
-        if total != rest.bit_count():
-            return None
+        if len(through) > 1:
+            common = _common_meet(through)
+            if common is None or want == "block" and common != 1 << v:
+                return None
     return out
 
 

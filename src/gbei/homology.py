@@ -61,9 +61,8 @@ def _support_mask(m: Monomial, grid: VarGrid) -> int:
 
 def _prune_masks(masks) -> tuple[int, ...]:
     # inclusion-minimal supports, smallest first
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
-    for m in uniq:
+    for m in _by_size(set(masks)):
         if m == 0:
             raise ValueError("constant generator: the ideal is the whole ring")
         if not any(k & m == k for k in kept):

@@ -239,16 +239,17 @@ def minimal_primes(g: Graph, rows: int) -> tuple[MinimalPrime, ...]:
 
 
 def krull_dimension(g: Graph, rows: int) -> tuple[int, dict[frozenset[int], int]]:
-    """Dimension of the quotient and the per-prime dimensions, keyed by
-    cut-point set."""
+    """Dimension of the quotient, the largest dimension of a minimal prime,
+    and the per-prime dimensions n - |T| + c(T) * (rows - 1), keyed by
+    cut-point set T (Rauh, Adv. Appl. Math. 2013)."""
     analysis = Analysis(g, rows)
     return analysis.dimension, analysis.prime_dimensions
 
 
 def is_unmixed(g: Graph, rows: int) -> bool:
-    """True when every cut-point set T satisfies
-    (c(T) - 1) * (rows - 1) == |T|, i.e. all minimal primes share one
-    dimension."""
+    """True when all minimal primes share one dimension (see krull_dimension):
+    every cut-point set T has (c(T) - c) * (rows - 1) == |T|, where c =
+    c(empty set) is the number of components, 1 only for a connected graph."""
     return Analysis(g, rows).unmixed
 
 
@@ -322,16 +323,11 @@ class Analysis:
     def census(self) -> CutSetCensus:
         return cut_set_census(self.graph)
 
-    @_cached_field
-    def generalized_block(self) -> bool:
-        """Whether every connected component is a generalized block graph,
-        the hypothesis of the closed-form depth and regularity: chordality
-        holds per component, and the clique conditions read only the facets
-        through one vertex, which lie in that vertex's component."""
-        return self.classification.generalized_block_graph
-
     def _require_generalized_block(self):
-        if not self.generalized_block:
+        # the whole graph's class is every component's: chordality holds per
+        # component, and the clique test reads only the facets through one
+        # vertex, which lie in that vertex's component
+        if not self.classification.generalized_block_graph:
             raise ValueError(
                 "closed-form invariants apply only when every connected "
                 "component is a generalized block graph"
@@ -372,27 +368,27 @@ class Analysis:
         return FormulaResult("regularity", "upper-bound", value, origin)
 
     @_cached_field
+    def _prime_dimension_masks(self) -> dict[int, int]:
+        """n - |T| + c(T) * (rows - 1), the dimension of the prime of each
+        cut-point set T by mask: each component C of G - T adds rows + |C| - 1."""
+        n, r = self.graph.n, self.rows - 1
+        return {t: n - t.bit_count() + c * r for t, c in self.census._cut_point_masks.items()}
+
+    @_cached_field
     def prime_dimensions(self) -> dict[frozenset[int], int]:
-        """Dimension of the minimal prime of each cut-point set T:
-        n - |T| + c(T) * (rows - 1)."""
-        census = self.census
-        return {
-            t: self.graph.n - len(t) + census.component_counts[t] * (self.rows - 1)
-            for t in census.cut_point_sets
-        }
+        """The prime dimensions keyed by cut-point set, in census order."""
+        table = self._prime_dimension_masks
+        return {t: table[sum(1 << (v - 1) for v in t)] for t in self.census.cut_point_sets}
 
     @_cached_field
     def dimension(self) -> int:
-        """Krull dimension of the quotient: the largest prime dimension,
-        read from the census masks."""
-        n, r = self.graph.n, self.rows - 1
-        return max(n - t.bit_count() + c * r for t, c in self.census._cut_point_masks.items())
+        """See krull_dimension."""
+        return max(self._prime_dimension_masks.values())
 
     @_cached_field
     def unmixed(self) -> bool:
         """See is_unmixed."""
-        r = self.rows - 1
-        return all((c - 1) * r == t.bit_count() for t, c in self.census._cut_point_masks.items())
+        return len(set(self._prime_dimension_masks.values())) == 1
 
     @_cached_field
     def minimal_primes(self) -> tuple[MinimalPrime, ...]:

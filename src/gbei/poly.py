@@ -46,7 +46,6 @@ field width, no operation carries or borrows across a field boundary:
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heapify, heappop
@@ -729,8 +728,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
 
     Works in the extended ring with the auxiliary variable t above the grid:
     the intersection is (t*A + (1-t)*B) with t eliminated.  Exponential in
-    the worst case; fine for the intended small instances, a warning is
-    emitted beyond 8 grid variables.
+    the worst case; the report's prime check gates it by grid size.
 
     t ranks above the grid under lex, so an element of the engine's
     reduced basis is t-free exactly when its lead is, and the t-free
@@ -739,14 +737,6 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     field's lowest bit.  The kept elements seed the new ideal's cached
     basis, and their Polynomials, decoded once, are its generators.
     """
-    used = {v for g in (*a.generators, *b.generators) for m in g.terms for v in m.support}
-    used.discard(ELIM)
-    if len(used) > 8:
-        warnings.warn(
-            f"ideal intersection over {len(used)} variables may be very slow",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     t = Polynomial.variable(ELIM)
     one = Polynomial.term(ONE, 1)
     mixed = [t * f for f in a.generators]

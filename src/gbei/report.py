@@ -97,7 +97,7 @@ def _formula_block(analysis: Analysis) -> dict:
         }
     except SizeCap as err:  # the census cap: every formula reads the census
         return {"status": "skipped", "reason": str(err)}
-    if analysis.generalized_block:
+    if analysis.classification.generalized_block_graph:
         d = analysis.depth
         r = analysis.regularity
         block["status"] = "ok"
@@ -159,7 +159,7 @@ def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, la
                 oracle_table = hochster_betti(closed, VarGrid(rows, g.n))
         except SizeCap as err:
             why = f"skipped: {err}"
-    if not analysis.generalized_block:
+    if not analysis.classification.generalized_block_graph:
         why = "skipped: formulas undefined off generalized block graphs"
     if why is not None:
         checks.append(_check("depth-vs-oracle", "skipped", why))

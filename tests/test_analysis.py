@@ -29,8 +29,10 @@ from gbei.graphs import (
     induced_subgraph,
     is_connected,
 )
+from gbei.homology import hochster_betti
 from gbei.ideals import Analysis, FormulaResult
-from gbei.report import corpus_report, invariants_report, verify_report
+from gbei.poly import VarGrid
+from gbei.report import corpus_report, invariants_report, render_text, verify_report
 
 from conftest import C4, FAN, P3, graph_of
 
@@ -300,7 +302,7 @@ def reference_formulas(g: Graph, rows: int) -> tuple[bool, FormulaResult | None,
 def assert_matches_reference(g: Graph, rows: int):
     analysis = Analysis(g, rows)
     gblock, depth, regularity = reference_formulas(g, rows)
-    assert analysis.generalized_block == gblock, g
+    assert analysis.classification.generalized_block_graph == gblock, g
     if gblock:
         assert (analysis.depth, analysis.regularity) == (depth, regularity), (g, rows)
     else:
@@ -373,3 +375,35 @@ def test_formulas_agree_with_the_oracle_on_random_unions(case):
     g, rows = case
     checks = {c["name"]: c["status"] for c in verify_report(g, rows)["verification"]["checks"]}
     assert checks["depth-vs-oracle"] == checks["regularity-vs-oracle"] == "pass", (g, rows)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [graph_of(3, (1, 2)), graph_of(4, (1, 2), (3, 4)), K3_PLUS_K1, P3_PLUS_K2],
+    ids=["K2+K1", "K2+K2", "K3+K1", "P3+K2"],
+)
+def test_unions_of_unmixed_parts_read_unmixed(g):
+    """Every minimal prime of these has the dimension of the empty set's,
+    n + c * (rows - 1) for c components; K2 + K1 is even prime, depth 5 =
+    dimension 5 by the oracle."""
+    analysis = Analysis(g, 2)
+    assert set(analysis.prime_dimensions.values()) == {g.n + len(connected_components(g))}
+    assert invariants_report(g, 2)["formulas"]["unmixed"] is True
+    assert "unmixed: true" in render_text(verify_report(g, 2))
+    assert hochster_betti(analysis.initial_ideal, VarGrid(2, g.n)).depth() == analysis.dimension
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda rows: st.tuples(gblock_unions(12 // rows), st.just(rows))))
+def test_unmixed_is_one_prime_dimension_on_random_unions(case):
+    """`unmixed` holds exactly when the minimal primes, each the sum over the
+    components C of G - T of rows + |C| - 1, share one dimension; and a
+    Cohen-Macaulay quotient (oracle depth = dimension) is unmixed."""
+    g, rows = case
+    analysis = Analysis(g, rows)
+    dims = [sum(rows + len(c) - 1 for c in p.components) for p in analysis.minimal_primes]
+    assert dims == [analysis.prime_dimensions[p.cut_set] for p in analysis.minimal_primes], (g, rows)
+    assert analysis.dimension == max(dims)
+    assert analysis.unmixed == (len(set(dims)) == 1), (g, rows)
+    if hochster_betti(analysis.initial_ideal, VarGrid(rows, g.n)).depth() == analysis.dimension:
+        assert analysis.unmixed, (g, rows)

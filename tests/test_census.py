@@ -142,7 +142,8 @@ def assert_views_match_reference(g: Graph):
     for rows in (2, 3):
         analysis = Analysis(g, rows)
         assert analysis.dimension == max(analysis.prime_dimensions.values()), (g, rows)
-        unmixed = all((comps[t] - 1) * (rows - 1) == len(t) for t in cps)
+        # unmixed: every minimal prime P_T has dimension n - |T| + c(T) * (rows - 1)
+        unmixed = len({g.n - len(t) + comps[t] * (rows - 1) for t in cps}) == 1
         assert analysis.unmixed == unmixed, (g, rows)
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from contextlib import redirect_stdout
 from io import StringIO
 from itertools import combinations
@@ -208,14 +209,24 @@ class TestVerify:
         assert "oracle: depth=5 projdim=5 regularity=2" in out
 
     def test_with_primes_forces_the_check(self, capsys, graph_file):
-        # the intersection advisory fires past 8 variables but the check runs
-        with pytest.warns(RuntimeWarning):
-            code, out, _ = run(
+        code, out, _ = run(
+            capsys,
+            "verify", "--graph", graph_file("fan.txt", FAN_TEXT), "--rows", "2", "--with-primes",
+        )
+        assert code == 0
+        assert "prime-intersection: pass (intersection of 2 primes)" in out
+
+    def test_a_forced_prime_check_warns_nothing(self, capsys, graph_file):
+        # the report's gate is the one limit on the check: past it, a forced
+        # run reports without a warning on stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
                 capsys,
                 "verify", "--graph", graph_file("fan.txt", FAN_TEXT), "--rows", "2", "--with-primes",
             )
-        assert code == 0
-        assert "prime-intersection: pass (intersection of 2 primes)" in out
+        assert code == 0 and "prime-intersection: pass" in out
+        assert caught == [] and err == ""
 
     def test_max_vars_skips_the_oracle(self, capsys, graph_file):
         code, out, _ = run(
@@ -504,10 +515,9 @@ class TestConsecutiveCalls:
 
     def test_flags_do_not_leak_into_the_next_call(self, capsys, graph_file):
         fan = graph_file("fan.txt", FAN_TEXT)
-        with pytest.warns(RuntimeWarning):
-            code, out, _ = run(
-                capsys, "verify", "--graph", fan, "--rows", "2", "--max-vars", "4", "--with-primes", "--strict"
-            )
+        code, out, _ = run(
+            capsys, "verify", "--graph", fan, "--rows", "2", "--max-vars", "4", "--with-primes", "--strict"
+        )
         assert code == 3
         assert "depth-vs-oracle: skipped (skipped: 10 variables exceeds --max-vars 4)" in out
         assert "prime-intersection: pass (intersection of 2 primes)" in out
@@ -596,9 +606,7 @@ class TestVerdicts:
         assert not has_skip(classify_report(P5))
         assert has_skip(invariants_report(C4, 2))
         assert has_skip(verify_report(FAN, 2))  # prime check skipped at 10 vars
-        with pytest.warns(RuntimeWarning):
-            forced = verify_report(FAN, 2, with_primes=True)
-        assert not has_skip(forced)
+        assert not has_skip(verify_report(FAN, 2, with_primes=True))
 
 
 class TestRenderParity:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import and_
 
 import pytest
 
@@ -79,6 +81,39 @@ def reference_facet_masks(adj: list[int]) -> tuple[list[int], bool]:
     return reference_prune(closed), not kernel
 
 
+def reference_classify_masks(facets: list[int], chordal: bool) -> tuple[bool, bool, bool, int]:
+    """The pair and triple scan over the facets through each vertex: a block
+    graph when any two meet in at most one vertex, a generalized block graph
+    when any three meet pairwise in equal sets."""
+    omega = max(m.bit_count() for m in facets)
+    if not chordal:
+        return False, False, False, omega
+    through: dict[int, list[int]] = {}
+    for f in facets:
+        for v in range(f.bit_length()):
+            if f >> v & 1:
+                through.setdefault(v, []).append(f)
+    block = all((a & b).bit_count() <= 1 for fs in through.values() for a, b in combinations(fs, 2))
+    gblock = all(a & b == b & c == a & c for fs in through.values() for a, b, c in combinations(fs, 3))
+    return True, block, gblock, omega
+
+
+def random_chordal_graph(rng: random.Random, n: int) -> Graph:
+    """Each new vertex joins nothing, or a random nonempty part of one facet
+    of the graph so far, so the graph stays chordal; disconnected at times."""
+    adj = [0] * n
+    for k in range(1, n):
+        if rng.random() < 0.1:
+            continue
+        mask = rng.choice(gbei.graphs._facet_masks(adj[:k])[0])
+        facet = [v for v in range(k) if mask >> v & 1]
+        part = [v for v in facet if rng.random() < 0.6] or facet
+        for v in part:
+            adj[v] |= 1 << k
+            adj[k] |= 1 << v
+    return Graph.from_edges(n, [(u + 1, v + 1) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1])
+
+
 def reference_enumeration(n: int, classification: str | None = None):
     """Every edge mask in increasing order, kept when connected and in the
     class, with the facets the filter computed cached on the graph."""
@@ -91,7 +126,7 @@ def reference_enumeration(n: int, classification: str | None = None):
             continue
         if classification:
             facets = reference_facet_masks(adj)
-            chordal, block, gblock, _ = gbei.graphs._classify_masks(*facets)
+            chordal, block, gblock, _ = reference_classify_masks(*facets)
             if not {"chordal": chordal, "block": block, "gblock": gblock}[classification]:
                 continue
         g = Graph.from_edges(n, [(u + 1, v + 1) for u, v in edges])
@@ -269,21 +304,60 @@ class TestClassification:
         assert c.clique_number == 3
 
     def test_generalized_block_test_compares_only_facets_through_one_vertex(self, monkeypatch):
-        # a path's facets meet at most two to a vertex: no triple to examine
-        triples = [0]
-        real = gbei.graphs.combinations
+        # each call of the shared test gets two or more facets with a common
+        # vertex; a path's facets meet at most two to a vertex
+        handed = []
+        real = gbei.graphs._common_meet
 
-        def counted(items, k):
-            for t in real(items, k):
-                triples[0] += k == 3
-                yield t
+        def recorded(through):
+            handed.append(list(through))
+            return real(through)
 
-        monkeypatch.setattr(gbei.graphs, "combinations", counted)
+        monkeypatch.setattr(gbei.graphs, "_common_meet", recorded)
         c = classify(Graph.from_edges(300, [(v, v + 1) for v in range(1, 300)]))
         assert c.generalized_block_graph and c.block_graph
-        assert triples == [0]
+        assert len(handed) == 298 and all(len(fs) == 2 and fs[0] & fs[1] for fs in handed)
+        handed.clear()
         assert not classify(graph_of(5, (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (3, 5))).generalized_block_graph
-        assert triples[0] > 0
+        assert handed and all(len(fs) > 1 and reduce(and_, fs) for fs in handed)
+        assert real(handed[-1]) is None
+
+    def test_the_shared_test_matches_the_pair_and_triple_scan(self):
+        """Every labeled graph on at most 6 vertices, random chordal graphs
+        on at most 12 (some disconnected), and random graphs on at most 12."""
+        rng = random.Random(19)
+        graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+        graphs += [random_chordal_graph(rng, rng.randint(1, 12)) for _ in range(1500)]
+        for _ in range(500):
+            n, p = rng.randint(1, 12), rng.random()
+            graphs.append(Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]))
+        seen = set()
+        for g in graphs:
+            c = classify(g)
+            want = reference_classify_masks(*gbei.graphs._facet_masks(g._adj))
+            assert (c.chordal, c.block_graph, c.generalized_block_graph, c.clique_number) == want, g
+            seen.add(want[:3])
+        assert seen == {(True, True, True), (True, False, True), (True, False, False), (False, False, False)}
+
+    def test_the_shared_test_reads_each_facet_through_a_vertex_once(self, monkeypatch):
+        # a star's leaves and a fan's apexes lie in one facet: only the
+        # center, or the spine's two ends, hand facets to the test, so the
+        # work is linear in the facet-vertex incidences, not cubic
+        handed = [0]
+        real = gbei.graphs._common_meet
+
+        def counted(through):
+            handed[0] += len(through)
+            return real(through)
+
+        monkeypatch.setattr(gbei.graphs, "_common_meet", counted)
+        star = Graph.from_edges(2001, [(1, v) for v in range(2, 2002)])
+        fan = Graph.from_edges(502, [(1, 2)] + [(u, v) for v in range(3, 503) for u in (1, 2)])
+        for g, want, calls in ((star, (True, True, True), 2000), (fan, (True, False, True), 1000)):
+            handed[0] = 0
+            c = classify(g)
+            assert (c.chordal, c.block_graph, c.generalized_block_graph) == want
+            assert handed[0] == calls <= sum(f.bit_count() for f in g._facets[0])
 
     def test_four_cycle_is_nothing(self):
         c = classify(C4)

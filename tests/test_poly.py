@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from functools import partial
 from unittest import mock
@@ -514,8 +513,7 @@ class TestPackedMonomials:
 grid_minors = st.builds(minor2, st.just(1), st.integers(2, 3), st.just(1), st.integers(2, 3)) | st.builds(
     minor2, st.just(2), st.just(3), st.integers(1, 2), st.just(3)
 )
-# minors on rows 1 and 2 of a 2 x 4 grid: at most 8 variables, the most
-# `intersect` takes without a warning
+# minors on rows 1 and 2 of a 2 x 4 grid: at most 8 variables
 row_minors = st.sampled_from([(i, j) for i in range(1, 5) for j in range(i + 1, 5)]).map(
     lambda cols: minor2(1, 2, *cols)
 )
@@ -583,11 +581,9 @@ class TestExactCoefficients:
             m = h.monic()
             assert exact(m) and m.terms == {t: Fraction(c) / lc for t, c in h.terms.items()}
         a, b = Ideal([f]), Ideal([g, *rest])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the many-variable notice
-            got = intersect(a, b).groebner()
-            with mock.patch.object(gbei.poly, "buchberger", packed(reference_buchberger)):
-                want = intersect(a, b).groebner()
+        got = intersect(a, b).groebner()
+        with mock.patch.object(gbei.poly, "buchberger", packed(reference_buchberger)):
+            want = intersect(a, b).groebner()
         assert exact(*got) and got == want
 
     def test_a_fraction_only_where_a_division_leaves_one(self):
