@@ -275,44 +275,49 @@ def _facet_masks(adj: list[int]) -> tuple[list[int], bool]:
     return facets, not kernel
 
 
-def _leaf_order(facets: list[int]) -> tuple[int, ...] | None:
-    """A leaf order of the facet list, as a permutation of indices.
+def _core(facets) -> int:
+    """The mask of the vertices in two or more of the masks `facets`."""
+    core = seen = 0
+    for f in facets:
+        core |= seen & f
+        seen |= f
+    return core
 
-    Position by position the smallest usable facet index is chosen and a
-    dead end backtracks, so the result is the lexicographically least valid
-    order.  Returns None when no leaf order exists.
-    """
-    r = len(facets)
-    if r == 1:
-        return (0,)
-    inter = [[facets[i] & facets[j] for j in range(r)] for i in range(r)]
 
-    def is_leaf(c: int, chosen: list[int]) -> bool:
-        for b in chosen:
-            if all(inter[h][c] & ~inter[b][c] == 0 for h in chosen):
-                return True
-        return False
-
-    def extend(chosen: list[int], remaining: set[int]):
-        if not remaining:
-            return chosen
-        for idx in sorted(remaining):
-            if not chosen or is_leaf(idx, chosen):
-                found = extend(chosen + [idx], remaining - {idx})
-                if found:
-                    return found
-        return None
-
-    found = extend([], set(range(r)))
-    return tuple(found) if found else None
+def _leaf_order(facets: list[int]) -> tuple[int, ...]:
+    """A leaf order of the facets of a chordal graph, as a permutation of
+    indices, built from its end: each step peels the last facet in list
+    order that is a leaf of those left.  A facet is a leaf when the union of
+    its meets with the others (its vertices in some other) is one of them.
+    The vertices of a peeled leaf off that union lie in no other facet, so
+    the facets left are those of an induced subgraph, again chordal, and
+    the clique complex of a chordal graph is a quasi-forest (Herzog-Hibi-
+    Zheng 2004): it has a leaf, and no step stalls."""
+    left = list(facets)
+    peeled = []
+    while len(left) > 1:
+        core = _core(left)
+        for pos in reversed(range(len(left))):
+            f = left[pos]
+            meet = f & core
+            if any(h & f == meet for h in left if h != f):
+                break
+        else:
+            raise AssertionError("no facet of a chordal graph is a leaf")
+        peeled.append(left.pop(pos))
+    index = {f: i for i, f in enumerate(facets)}
+    return tuple(index[f] for f in left + peeled[::-1])
 
 
 @dataclass(frozen=True)
 class CliqueComplex:
     """Facets are the maximal cliques, listed in lexicographic vertex order.
-    leaf_order is a permutation of facet indices such that each facet is a
-    leaf of the subcomplex generated by it and its predecessors; present
-    exactly when the graph is chordal."""
+    leaf_order, present exactly when the graph is chordal, is a permutation
+    of facet indices in which each facet is a leaf of the subcomplex of it
+    and its predecessors.  It is peeled from its end: the last entry is the
+    last facet in list order that is a leaf of them all, the one before it
+    the last leaf of the rest, and so on.  A leaf always exists, since the
+    clique complex of a chordal graph is a quasi-forest (see _leaf_order)."""
 
     facets: tuple[frozenset[int], ...]
     leaf_order: tuple[int, ...] | None
@@ -502,10 +507,7 @@ def cut_set_census(g: Graph) -> CutSetCensus:
     if g.n > 20:
         raise SizeCap(f"census is exhaustive over subsets; n={g.n} is past the intended scale")
     facets = g._facets[0]
-    core = 0
-    for a, b in combinations(facets, 2):
-        core |= a & b
-    minimal, cut_points = _census_masks(g._adj, core)
+    minimal, cut_points = _census_masks(g._adj, _core(facets))
     return CutSetCensus(minimal, cut_points, max(m.bit_count() for m in facets))
 
 
@@ -537,36 +539,31 @@ class LeafSplit:
 
 
 def leaf_decomposition(g: Graph) -> LeafSplit:
+    """Split off the last facet of clique_complex(g).leaf_order from a
+    connected generalized block graph with two or more facets (ValueError
+    otherwise); see LeafSplit.  The leaf F meets each other facet H inside
+    one meet F & G, so a branch H shares a vertex with F and G, and in a
+    generalized block graph F & H = F & G = G & H: the leaf and its
+    branches meet pairwise in one cut."""
     if not is_connected(g):
         raise ValueError("leaf decomposition needs a connected graph")
-    cls = classify(g)
-    if not cls.generalized_block_graph:
+    if not classify(g).generalized_block_graph:
         raise ValueError("leaf decomposition needs a generalized block graph")
-    cc = clique_complex(g)
-    if len(cc.facets) < 2:
+    facets = sorted(g._facets[0], key=_mask_vertices)
+    if len(facets) < 2:
         raise ValueError("graph is a single clique; nothing to split")
-    leaf = cc.facets[cc.leaf_order[-1]]
-    others = [f for i, f in enumerate(cc.facets) if i != cc.leaf_order[-1]]
-    cut = max((f & leaf for f in others), key=len)
-    if not cut:
-        raise AssertionError("leaf facet meets no other facet in a connected graph")
-    branches = []
-    for f in others:
-        meet = f & leaf
-        if meet == cut:
-            branches.append(f)
-        elif meet:
-            raise AssertionError(f"facet {sorted(f)} meets the leaf outside the common cut")
-    for a, b in combinations([*branches, leaf], 2):
-        if a & b != cut:
-            raise AssertionError("pairwise facet intersections at the leaf disagree")
+    leaf = facets[_leaf_order(facets)[-1]]
+    branches = [f for f in facets if f & leaf and f != leaf]
+    cut = _common_meet([leaf, *branches])
+    if cut is None:
+        raise AssertionError("the leaf and the facets meeting it do not meet in one cut")
 
-    union = frozenset().union(leaf, *branches)
-    merged_edges = set(g.edges)
-    merged_edges.update((u, v) for u, v in combinations(sorted(union), 2))
-    merged = Graph(g.n, frozenset(merged_edges))
+    union = leaf
+    for f in branches:
+        union |= f
+    merged = Graph(g.n, g.edges | frozenset(combinations(_mask_vertices(union), 2)))
 
-    kept = tuple(v for v in range(1, g.n + 1) if v not in cut)
+    kept = _mask_vertices((1 << g.n) - 1 & ~cut)
     minus_cut, relabel = induced_subgraph(g, kept)
     merged_minus_cut, _ = induced_subgraph(merged, kept)
 
@@ -575,10 +572,10 @@ def leaf_decomposition(g: Graph) -> LeafSplit:
     if pieces != q + 1:
         raise AssertionError(f"removing the cut left {pieces} components, expected {q + 1}")
     return LeafSplit(
-        leaf=leaf,
-        branches=tuple(branches),
-        cut=cut,
-        alpha=len(cut),
+        leaf=frozenset(_mask_vertices(leaf)),
+        branches=tuple(frozenset(_mask_vertices(f)) for f in branches),
+        cut=frozenset(_mask_vertices(cut)),
+        alpha=cut.bit_count(),
         q=q,
         merged=merged,
         minus_cut=minus_cut,

@@ -136,6 +136,17 @@ def reference_enumeration(n: int, classification: str | None = None):
         yield g
 
 
+def tailed_sun(k: int) -> Graph:
+    """The 3-sun, a triangle t, t+1, t+2 with an ear on each edge (tips 1, 2
+    and 3), joined by one edge at t to the k-edge path 4 - ... - 4+k:
+    k + 7 vertices and k + 5 facets, the triangle last in lexicographic
+    order."""
+    t = k + 5
+    ears = [(1, t), (1, t + 1), (2, t + 1), (2, t + 2), (3, t), (3, t + 2)]
+    tail = [(v, v + 1) for v in range(4, 4 + k)]
+    return graph_of(t + 2, (t, t + 1), (t + 1, t + 2), (t, t + 2), *ears, *tail, (4, t))
+
+
 def edge_mask(g: Graph) -> int:
     """Bit i is set when the i-th pair of combinations(1..n, 2) is an edge."""
     return sum(1 << i for i, e in enumerate(combinations(range(1, g.n + 1), 2)) if e in g.edges)
@@ -276,12 +287,20 @@ class TestCliqueComplex:
         assert set(cc.facets) == {frozenset(s) for s in ({1, 2, 3}, {1, 2, 4}, {1, 2, 5})}
         assert last_leaf(FAN) == frozenset({1, 2, 5})
         assert last_leaf(STAR) == frozenset({1, 4})
+        # the last facet that is a leaf, not the end of the lexicographically
+        # least order, which ends in {2,5}
+        assert last_leaf(graph_of(5, (1, 3), (2, 5), (3, 4), (3, 5))) == frozenset({3, 4})
 
     def test_leaf_order_is_valid_peeling(self):
         # every prefix of the order ends in a facet meeting the earlier ones
-        # inside a single earlier facet
-        for g in enumerate_connected_graphs(5, "chordal"):
+        # inside a single earlier facet.  The star's 1,200 facets are past
+        # the recursion limit, and on the tailed sun a search for the least
+        # order is exponential in the tail: every order of the tail's facets
+        # after the three ears is a dead end at the triangle
+        star = graph_of(1201, *((1, v) for v in range(2, 1202)))
+        for g in [*enumerate_connected_graphs(5, "chordal"), star, tailed_sun(40)]:
             cc = clique_complex(g)
+            assert sorted(cc.leaf_order) == list(range(len(cc.facets))), g
             order = [cc.facets[i] for i in cc.leaf_order]
             for k in range(1, len(order)):
                 meet = frozenset().union(
@@ -496,9 +515,11 @@ class TestLeafDecomposition:
     def test_removed_cut_leaves_q_plus_one_components(self):
         for n in range(3, 6):
             for g in enumerate_connected_graphs(n, "gblock"):
-                if len(clique_complex(g).facets) < 2:
+                cc = clique_complex(g)
+                if len(cc.facets) < 2:
                     continue
                 sp = leaf_decomposition(g)
+                assert sp.leaf == cc.facets[cc.leaf_order[-1]], g
                 assert len(connected_components(sp.minus_cut)) == sp.q + 1, g
 
     def test_census_transfer_as_set_collections(self):
