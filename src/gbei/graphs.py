@@ -20,6 +20,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 
+# the largest vertex count a graph file may declare: every facet is an n-bit
+# mask, so memory grows with n squared
+MAX_VERTICES = 10_000
+
+
 class GraphParseError(ValueError):
     """Malformed edge-list input; carries the offending 1-based line number."""
 
@@ -110,7 +115,7 @@ class Graph:
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: a '#' starts a comment that runs to the
     end of its line, blank lines are skipped, the first data line is the
-    vertex count, and every further data line is 'u v'."""
+    vertex count (1..MAX_VERTICES), and every further data line is 'u v'."""
     n = None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -127,6 +132,8 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(f"vertex count is not an integer: {tokens[0]!r}", lineno) from None
             if n < 1:
                 raise GraphParseError(f"vertex count must be positive, got {n}", lineno)
+            if n > MAX_VERTICES:
+                raise GraphParseError(f"vertex count {n} exceeds the maximum of {MAX_VERTICES}", lineno)
             continue
         if len(tokens) != 2:
             raise GraphParseError(f"expected 'u v', got {line!r}", lineno)

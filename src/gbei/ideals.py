@@ -258,14 +258,11 @@ def is_unmixed(g: Graph, rows: int) -> bool:
 
 @dataclass(frozen=True)
 class FormulaResult:
-    quantity: str
     kind: str
     value: int
     provenance: str
 
     def __post_init__(self):
-        if self.quantity not in ("depth", "regularity"):
-            raise ValueError(f"unknown quantity {self.quantity!r}")
         if self.kind not in ("exact", "upper-bound"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.value < 0:
@@ -347,7 +344,7 @@ class Analysis:
             origin = "block-graph depth formula: vertices + rows - 1"
         if k > 1:
             origin += f", added over {k} components"
-        return FormulaResult("depth", "exact", total, origin)
+        return FormulaResult("exact", total, origin)
 
     @_cached_field
     def regularity(self) -> FormulaResult:
@@ -357,15 +354,15 @@ class Analysis:
         comps = _component_masks(g._adj, (1 << g.n) - 1)
         value = g.n - len(comps)
         if rows >= g.n:
-            return FormulaResult("regularity", "exact", value, "exact: row count at least vertex count")
+            return FormulaResult("exact", value, "exact: row count at least vertex count")
         paths = [_is_path(g._adj, c) for c in comps]
         if all(paths):
-            return FormulaResult("regularity", "exact", value, "exact: every component is a path")
+            return FormulaResult("exact", value, "exact: every component is a path")
         if all(path or rows >= c.bit_count() for path, c in zip(paths, comps)):
             origin = "exact: every component is a path or has at most as many vertices as rows"
-            return FormulaResult("regularity", "exact", value, origin)
+            return FormulaResult("exact", value, origin)
         origin = "upper bound: fewer rows than vertices and a non-path component"
-        return FormulaResult("regularity", "upper-bound", value, origin)
+        return FormulaResult("upper-bound", value, origin)
 
     @_cached_field
     def _prime_dimension_masks(self) -> dict[int, int]:

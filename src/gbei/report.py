@@ -48,10 +48,6 @@ def _lap(laps: dict[str, float], stage: str):
     laps[stage] = round(laps.get(stage, 0) + (time.perf_counter_ns() - start) / 1e6, 3)
 
 
-def _vset(s) -> list[int]:
-    return sorted(s)
-
-
 def _input_block(g: Graph, rows: int | None) -> dict:
     block = {"vertices": g.n, "edges": [list(e) for e in g.sorted_edges()]}
     if rows is not None:
@@ -77,13 +73,13 @@ def _census_block(census_of) -> dict:
         return {"status": "skipped", "reason": str(err)}
     return {
         "cliqueNumber": census.clique_number,
-        "a": {str(i): census.a(i) for i in range(1, census.clique_number)},
+        "a": {str(i): k for i, k in census.counts.items()},
         "minimalCutSets": {
-            str(i): [_vset(s) for s in sets]
+            str(i): [sorted(s) for s in sets]
             for i, sets in sorted(census.minimal_cut_sets.items())
         },
         "cutPointSets": [
-            {"set": _vset(t), "components": census.component_counts[t]}
+            {"set": sorted(t), "components": census.component_counts[t]}
             for t in census.cut_point_sets
         ],
     }
@@ -115,39 +111,34 @@ def _check(name: str, status: str, detail: str) -> dict:
 
 def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, laps: dict[str, float]) -> dict:
     g, rows = analysis.graph, analysis.rows
-    checks = []
     nvars = rows * g.n
 
     # the closed form, checked equal to the engine's reduced basis, and its
-    # squarefree initial ideal, which feeds the oracle
-    closed = None
+    # squarefree initial ideal, which feeds the oracle; a failure after the
+    # passing cross-check was built is the initial ideal's
+    closed = cross = None
     with _lap(laps, "basis"):
         try:
             size = len(analysis.basis.groebner())  # the packed basis: nothing is decoded
-        except BasisValidationError as err:
-            no_basis = "skipped: basis construction failed"
-            basis_checks = [
-                _check("groebner-cross-check", "fail", str(err)),
-                _check("squarefree-initial", "fail", "basis construction failed"),
-            ]
-        except SizeCap as err:  # the admissible-path or exponent cap: valid input, no basis
-            no_basis = f"skipped: {err}"
-            basis_checks = [
-                _check("groebner-cross-check", "skipped", no_basis),
-                _check("squarefree-initial", "skipped", no_basis),
-            ]
-        else:
             detail = f"closed form equals the engine's reduced basis: {size} vs {size} elements"
             cross = _check("groebner-cross-check", "pass", detail)
-            try:
-                closed = analysis.initial_ideal
-            except BasisValidationError as err:
-                no_basis = "skipped: initial ideal not squarefree"
-                basis_checks = [cross, _check("squarefree-initial", "fail", str(err))]
+            closed = analysis.initial_ideal
+            square = _check("squarefree-initial", "pass", "all engine lead monomials squarefree")
+        except BasisValidationError as err:
+            if cross is None:
+                no_basis = "skipped: basis construction failed"
+                cross = _check("groebner-cross-check", "fail", str(err))
+                square = _check("squarefree-initial", "fail", "basis construction failed")
             else:
-                basis_checks = [cross, _check("squarefree-initial", "pass", "all engine lead monomials squarefree")]
+                no_basis = "skipped: initial ideal not squarefree"
+                square = _check("squarefree-initial", "fail", str(err))
+        except SizeCap as err:  # the admissible-path or exponent cap: valid input, no basis
+            no_basis = f"skipped: {err}"
+            cross = _check("groebner-cross-check", "skipped", no_basis)
+            square = _check("squarefree-initial", "skipped", no_basis)
 
-    # undefined formulas outrank the first thing that stopped the oracle
+    # the oracle runs whenever it can; its checks name the first reason they
+    # are skipped: formulas undefined, --max-vars, no basis, the oracle cap
     oracle_table = why = None
     if nvars > max_vars:
         why = f"skipped: {nvars} variables exceeds --max-vars {max_vars}"
@@ -162,45 +153,29 @@ def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, la
     if not analysis.classification.generalized_block_graph:
         why = "skipped: formulas undefined off generalized block graphs"
     if why is not None:
-        checks.append(_check("depth-vs-oracle", "skipped", why))
-        checks.append(_check("regularity-vs-oracle", "skipped", why))
+        depth = _check("depth-vs-oracle", "skipped", why)
+        regularity = _check("regularity-vs-oracle", "skipped", why)
     else:
-        d = analysis.depth
-        got = oracle_table.depth()
-        status = "pass" if got == d.value else "fail"
-        checks.append(_check("depth-vs-oracle", status, f"oracle {got}, formula {d.value}"))
-        r = analysis.regularity
-        got = oracle_table.regularity()
+        d, got = analysis.depth.value, oracle_table.depth()
+        depth = _check("depth-vs-oracle", "pass" if got == d else "fail", f"oracle {got}, formula {d}")
+        r, got = analysis.regularity, oracle_table.regularity()
         if r.kind == "exact":
-            status = "pass" if got == r.value else "fail"
-            detail = f"oracle {got}, formula {r.value} (exact)"
+            ok, detail = got == r.value, f"oracle {got}, formula {r.value} (exact)"
         else:
-            status = "pass" if got <= r.value else "fail"
-            detail = f"oracle {got} <= bound {r.value}"
-        checks.append(_check("regularity-vs-oracle", status, detail))
-
-    checks.extend(basis_checks)
+            ok, detail = got <= r.value, f"oracle {got} <= bound {r.value}"
+        regularity = _check("regularity-vs-oracle", "pass" if ok else "fail", detail)
 
     if with_primes or nvars <= PRIME_CHECK_DEFAULT_LIMIT:
         with _lap(laps, "primes"):
-            checks.append(_prime_intersection_check(analysis))
+            primes = _prime_intersection_check(analysis)
     else:
-        checks.append(
-            _check(
-                "prime-intersection",
-                "skipped",
-                f"skipped: {nvars} variables > {PRIME_CHECK_DEFAULT_LIMIT} (pass --with-primes to force)",
-            )
-        )
+        cap = f"skipped: {nvars} variables > {PRIME_CHECK_DEFAULT_LIMIT} (pass --with-primes to force)"
+        primes = _check("prime-intersection", "skipped", cap)
 
+    block = {"checks": [depth, regularity, cross, square, primes]}
     if oracle_table is not None:
-        betti = {f"{i},{j}": b for (i, j), b in sorted(oracle_table.entries.items())}
-    else:
-        betti = None
-    block = {"checks": checks}
-    if betti is not None:
         block["oracle"] = {
-            "betti": betti,
+            "betti": {f"{i},{j}": b for (i, j), b in sorted(oracle_table.entries.items())},
             "depth": oracle_table.depth(),
             "projectiveDimension": oracle_table.projective_dimension(),
             "regularity": oracle_table.regularity(),
@@ -335,7 +310,7 @@ def has_failure(report: dict) -> bool:
     if report["command"] == "corpus":
         return report["summary"]["fail"] > 0
     ver = report.get("verification")
-    return bool(ver) and any(c["status"] == "fail" for c in ver["checks"])
+    return bool(ver) and verdict_of(ver["checks"]) == "fail"
 
 
 def has_skip(report: dict) -> bool:

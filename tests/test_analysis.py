@@ -282,20 +282,20 @@ def reference_formulas(g: Graph, rows: int) -> tuple[bool, FormulaResult | None,
         origin = "block-graph depth formula: vertices + rows - 1"
     if len(parts) > 1:
         origin += f", added over {len(parts)} components"
-    depth = FormulaResult("depth", "exact", total, origin)
+    depth = FormulaResult("exact", total, origin)
 
     value = sum(part.graph.n - 1 for part in parts)
     paths = [reference_is_path(part.graph) for part in parts]
     if rows >= g.n:
-        regularity = FormulaResult("regularity", "exact", value, "exact: row count at least vertex count")
+        regularity = FormulaResult("exact", value, "exact: row count at least vertex count")
     elif all(paths):
-        regularity = FormulaResult("regularity", "exact", value, "exact: every component is a path")
+        regularity = FormulaResult("exact", value, "exact: every component is a path")
     elif all(path or rows >= part.graph.n for path, part in zip(paths, parts)):
         origin = "exact: every component is a path or has at most as many vertices as rows"
-        regularity = FormulaResult("regularity", "exact", value, origin)
+        regularity = FormulaResult("exact", value, origin)
     else:
         origin = "upper bound: fewer rows than vertices and a non-path component"
-        regularity = FormulaResult("regularity", "upper-bound", value, origin)
+        regularity = FormulaResult("upper-bound", value, origin)
     return True, depth, regularity
 
 

@@ -110,10 +110,18 @@ class TestClassify:
             assert code == 0 and err == ""
             assert drop_timings(out) == drop_timings(plain)
 
-    def test_parse_error_is_an_input_error(self, capsys, graph_file):
-        code, _, err = run(capsys, "classify", "--graph", graph_file("bad.txt", "3\n1 9\n"))
-        assert code == 2
-        assert "line 2" in err
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3\n1 9\n", "line 2: edge (1,9) outside 1..3"),
+            ("100000000000000000000\n", "line 1: vertex count 100000000000000000000 exceeds the maximum of 10000"),
+        ],
+        ids=["edge-outside-the-count", "count-past-the-maximum"],
+    )
+    def test_parse_error_is_an_input_error(self, capsys, graph_file, text, message):
+        code, out, err = run(capsys, "classify", "--graph", graph_file("bad.txt", text))
+        assert code == 2 and out == ""
+        assert err == f"gbei: error: {message}\n"
 
     def test_path_past_the_census_cap_skips_the_census(self, capsys, graph_file):
         path = graph_file("p21.txt", P21_TEXT)
@@ -377,6 +385,36 @@ class TestVerify:
         assert "is not squarefree" in checks["squarefree-initial"][1]
         skipped = ("skipped", "skipped: initial ideal not squarefree")
         assert checks["depth-vs-oracle"] == checks["regularity-vs-oracle"] == skipped
+
+    @pytest.mark.parametrize(
+        "branch, statuses",
+        [
+            ("every-check-passes", ["pass", "pass", "pass", "pass", "pass"]),
+            ("oracle-skipped", ["skipped", "skipped", "pass", "pass", "skipped"]),
+            ("admissible-path-cap", ["skipped", "skipped", "skipped", "skipped", "skipped"]),
+            ("failed-cross-check", ["skipped", "skipped", "fail", "fail", "pass"]),
+            ("non-squarefree-initial", ["skipped", "skipped", "pass", "fail", "pass"]),
+        ],
+    )
+    def test_the_checks_keep_their_order_in_every_branch(self, monkeypatch, branch, statuses):
+        g, kwargs = P3, {}
+        if branch == "oracle-skipped":
+            g, kwargs = P5, {"max_vars": 4}
+        elif branch == "admissible-path-cap":
+            g = Graph.from_edges(11, [(v, v + 1) for v in range(1, 11)])
+        elif branch == "failed-cross-check":
+            monkeypatch.setattr("gbei.ideals._closed_form_basis", lambda paths, rows, packing: [])
+        elif branch == "non-squarefree-initial":
+            monkeypatch.setattr(gbei.poly.Monomial, "is_squarefree", lambda self: False)
+        checks = verify_report(g, 2, **kwargs)["verification"]["checks"]
+        assert [c["name"] for c in checks] == [
+            "depth-vs-oracle",
+            "regularity-vs-oracle",
+            "groebner-cross-check",
+            "squarefree-initial",
+            "prime-intersection",
+        ]
+        assert [c["status"] for c in checks] == statuses
 
     def test_json_matches_text_numbers(self, capsys, graph_file):
         path = graph_file("fan.txt", FAN_TEXT)

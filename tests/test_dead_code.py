@@ -5,8 +5,9 @@ referred to somewhere in the package outside its own body.  A helper that
 nothing calls is deleted, not left behind.  Likewise every module-level
 import of the package and of the tests is used by the file that makes it,
 the report turns only a size cap into a skipped verdict, every
-function the benchmark's tracer looks up by name is still there, and
-every exported name has a user outside the tests."""
+function the benchmark's tracer looks up by name is still there, every
+exported name has a user outside the tests, and every dataclass field
+is read."""
 
 from __future__ import annotations
 
@@ -212,3 +213,44 @@ def test_every_export_is_used_documented_or_traced():
     traced = {name.split(".")[1] for name in _traced()}
     unused = [name for name in gbei.__all__ if reads[name] <= 0 and name not in documented | traced]
     assert sorted(unused) == sorted(UNUSED_EXPORTS)
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class node, field name) for every annotated field of the
+    module-level dataclasses of `tree`."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(d, ast.Name) and d.id == "dataclass"
+            or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+            for d in node.decorator_list
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node, stmt.target.id
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    """Attribute names read under `node`."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_dataclass_field_is_read():
+    """A field is read as an attribute somewhere in the package or the
+    tests; its own class's `__post_init__`, which only validates it, does
+    not count."""
+    trees = _trees()
+    everywhere = [*trees.values(), *map(_parse, TESTS.glob("*.py"))]
+    reads = sum((_attribute_reads(tree) for tree in everywhere), Counter())
+    unread = []
+    for module, tree in trees.items():
+        for cls, name in _dataclass_fields(tree):
+            post_init = [f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+            own = sum((_attribute_reads(f) for f in post_init), Counter())
+            if reads[name] <= own[name]:
+                unread.append(f"{module}.{cls.name}.{name}")
+    assert unread == []
+
+
+def test_the_field_scan_sees_the_dataclasses():
+    fields = {f"{cls.name}.{name}" for tree in _trees().values() for cls, name in _dataclass_fields(tree)}
+    assert {"Graph.n", "FormulaResult.kind", "MinimalPrime.dimension"} <= fields

@@ -12,6 +12,7 @@ import gbei.graphs
 from gbei.graphs import (
     Graph,
     GraphParseError,
+    MAX_VERTICES,
     classify,
     clique_complex,
     connected_components,
@@ -188,6 +189,12 @@ class TestParsing:
             parse_graph("0\n")
         with pytest.raises(GraphParseError):
             parse_graph("# only a comment\n")
+        with pytest.raises(GraphParseError, match=f"exceeds the maximum of {MAX_VERTICES}") as err:
+            parse_graph("100000000000000000000\n1 2\n")
+        assert err.value.line == 1
+        with pytest.raises(GraphParseError, match=f"vertex count {MAX_VERTICES + 1} exceeds"):
+            parse_graph(f"{MAX_VERTICES + 1}\n")
+        assert parse_graph(f"{MAX_VERTICES}\n").n == MAX_VERTICES
 
     def test_edge_errors_carry_line_numbers(self):
         with pytest.raises(GraphParseError) as err:
