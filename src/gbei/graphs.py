@@ -436,8 +436,12 @@ class CutSetCensus:
     cut sets, and the cut point sets T (each member's removal genuinely
     lowers the component count of the restriction to the complement; the
     empty set always qualifies) with their component counts, in increasing
-    mask order.  a(i) and counts count bits; the set views are decoded on
-    first read, so a consumer of the counts alone decodes nothing.
+    mask order.  The component counts of a chordal graph are read from a
+    clique forest, c(G - T) = c(G) + #{separators inside T} - #{facets
+    inside T}, and those of any other graph are found by a search (see
+    _census_masks for the proof).  a(i) and counts count bits; the set
+    views are decoded on first read, so a consumer of the counts alone
+    decodes nothing.
 
     minimal_cut_sets groups the minimal cut sets by cardinality.  counts[i]
     is a(i) for i up to the clique number minus one (the only range the
@@ -472,21 +476,94 @@ class CutSetCensus:
         return tuple(sorted(self.component_counts, key=lambda s: (len(s), sorted(s))))
 
 
-def _census_masks(adj: list[int], core: int) -> tuple[list[int], dict[int, int]]:
+def _separators(facets: list[int]) -> list[int]:
+    """The separators of a clique forest of the chordal graph whose maximal
+    cliques are `facets`: the meets along the edges of a maximum-weight
+    spanning forest of the facets, a meet weighing its vertex count.  Prim
+    grows it: each step places the facet with the largest meet with a facet
+    already placed, and that meet is a separator, unless it is empty and
+    the facet starts the tree of the next component.  A spanning tree of the
+    facets of a connected chordal graph is a clique tree (the facets through
+    each vertex span a subtree) exactly when its weight is maximum (Blair-
+    Peyton, An introduction to chordal graphs and clique trees, 1993).  The
+    list order of `facets` only breaks ties.  The meets of consecutive
+    facets in list order are no clique forest: on 1-2 1-3 1-5 2-3 2-4,
+    listed by _facet_masks as 123, 24, 15, they are {2} and nothing, and
+    miss the separator {1}."""
+    seps = []
+    left = list(facets)
+    f = left.pop()
+    # each facet left, with its largest meet with a placed facet
+    meet = [0] * len(left)
+    while left:
+        most = -1
+        for j, h in enumerate(left):
+            m = h & f
+            if m.bit_count() > meet[j].bit_count():
+                meet[j] = m
+            if meet[j].bit_count() > most:
+                most, i = meet[j].bit_count(), j
+        f = left.pop(i)
+        s = meet.pop(i)
+        if s:
+            seps.append(s)
+    return seps
+
+
+def _census_masks(adj: list[int], core: int, facets: list[int] | None) -> tuple[list[int], dict[int, int]]:
     """(minimal cut masks, {cut point mask: component count}) in increasing
     mask order, visiting only the removed masks inside `core`.  A vertex off
     the core is simplicial: put back into G - T, it joins one component or
     adds one, so it lies in no cut point set and no minimal cut set.  The
     k-th submask t of core carries the bits of k on core's bits, so k ^ b
-    indexes t with one vertex put back."""
+    indexes t with one vertex put back.
+
+    `facets` are the maximal clique masks of a chordal graph, None when the
+    graph is not chordal.  A non-chordal graph counts the components of each
+    G - T by a search.  A chordal graph counts them from a clique forest,
+    with facets F and separators S (see _separators):
+
+        c(G - T) = c(G) + #{S inside T} - #{F inside T}.
+
+    The facets F not inside T, joined by the forest edges whose S is not
+    inside T, form a sub-forest (an edge's S lies in both of its facets);
+    its trees are the components of G - T.  A vertex v off T lies in some
+    facet.  The facets through v span a subtree of the forest, and they and
+    the separators on its edges all hold v, so the subtree lies in one tree
+    of the sub-forest.  Adjacent vertices share a facet, so a component of
+    G - T lies in one tree; the separator of a tree edge has a vertex off T
+    in both of its facets, so a tree lies in one component.  The sub-forest
+    has |F| - #{F inside T} nodes and |S| - #{S inside T} edges, and the
+    whole forest gives c(G) = |F| - |S|.  Separators lie in the core, so
+    each G - T takes a few mask tests, not a search over the n vertices."""
     full = (1 << len(adj)) - 1
     comp = [0] * (1 << core.bit_count())
+    steps = None
+    if facets is not None:
+        # c(G - T) - c(G - T + v), for v the least vertex of T, counts the
+        # separators and facets inside T that hold v; each has v as its
+        # least vertex, so it is filed under v.  T = {} reads c(G).
+        seps = _separators(facets)
+        comp[0] = len(facets) - len(seps)
+        steps = {}
+        for s in seps:
+            steps.setdefault(s & -s, []).append((s, 1))
+        for f in facets:
+            if not f & ~core:
+                steps.setdefault(f & -f, []).append((f, -1))
     contains_cut = bytearray(len(comp))
     minimal = []
     cut_points = {}
     t = 0
     for k in range(len(comp)):
-        comp[k] = c = len(_component_masks(adj, full & ~t))
+        if steps is None:
+            c = len(_component_masks(adj, full & ~t))
+        else:
+            c = comp[k & (k - 1)]
+            for m, w in steps.get(t & -t, ()):
+                if m & t == m:
+                    c += w
+        comp[k] = c
         is_cut = c > comp[0]
         proper = False
         point = True
@@ -498,6 +575,8 @@ def _census_masks(adj: list[int], core: int) -> tuple[list[int], dict[int, int]]
                 proper = True
             if comp[k ^ b] >= c:
                 point = False
+            if proper and not point:
+                break  # neither flag changes back
         if is_cut and not proper:
             minimal.append(t)
         contains_cut[k] = is_cut or proper
@@ -509,12 +588,15 @@ def _census_masks(adj: list[int], core: int) -> tuple[list[int], dict[int, int]]
 
 def cut_set_census(g: Graph) -> CutSetCensus:
     """Exhaustive over the subsets of the core, the vertices in two or more
-    facets (see _census_masks): 2^|core| component counts.  The census keeps
-    the masks; its set views are decoded only where they are read."""
+    facets (see _census_masks): 2^|core| component counts.  On a chordal
+    graph each is read from a clique forest, c(G - T) = c(G) +
+    #{separators inside T} - #{facets inside T} (proved at _census_masks);
+    on any other graph it is found by a search.  The census keeps the
+    masks; its set views are decoded only where they are read."""
     if g.n > 20:
         raise SizeCap(f"census is exhaustive over subsets; n={g.n} is past the intended scale")
-    facets = g._facets[0]
-    minimal, cut_points = _census_masks(g._adj, _core(facets))
+    facets, chordal = g._facets
+    minimal, cut_points = _census_masks(g._adj, _core(facets), facets if chordal else None)
     return CutSetCensus(minimal, cut_points, max(m.bit_count() for m in facets))
 
 

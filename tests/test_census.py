@@ -1,14 +1,17 @@
 """The cut-set census visits only the removed sets inside the core (the
 vertices in two or more maximal cliques).  It is checked here against the
-exhaustive census over all 2^n removed sets, kept as the reference.  The
-census keeps masks and decodes its set views on first read; those views are
-checked against the frozensets the census used to build eagerly."""
+exhaustive census over all 2^n removed sets, kept as the reference.  On a
+chordal graph the census counts components from a clique forest; that count
+is checked against a search for every removed set.  The census keeps masks
+and decodes its set views on first read; those views are checked against
+the frozensets the census used to build eagerly."""
 
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -57,9 +60,12 @@ def exhaustive_census_masks(adj: list[int], core: int) -> tuple[list[int], dict[
 @pytest.fixture
 def both_censuses(monkeypatch):
     """g -> (core census, exhaustive census), both through cut_set_census."""
-    kernels = {"core": gbei.graphs._census_masks, "exhaustive": exhaustive_census_masks}
+    kernels = {
+        "core": gbei.graphs._census_masks,
+        "exhaustive": lambda adj, core, facets: exhaustive_census_masks(adj, core),
+    }
     use = ["core"]
-    monkeypatch.setattr(gbei.graphs, "_census_masks", lambda adj, core: kernels[use[0]](adj, core))
+    monkeypatch.setattr(gbei.graphs, "_census_masks", lambda adj, core, facets: kernels[use[0]](adj, core, facets))
 
     def censuses(g: Graph):
         use[0] = "core"
@@ -112,6 +118,86 @@ def test_core_census_equals_exhaustive_on_random_graphs(both_censuses):
     # disconnected, non-chordal, and large graphs with many cut point sets all drawn
     connected, chordal, large = zip(*kinds)
     assert set(connected) == set(chordal) == set(large) == {False, True}
+
+
+def assert_forest_counts_every_removed_set(g: Graph):
+    """c(G - T) of a chordal graph, for every T, from its facets F and the
+    separators S of a clique forest: c(G) + #{S inside T} - #{F inside T},
+    where c(G) = |F| - |S|."""
+    adj, full = g._adj, (1 << g.n) - 1
+    facets, chordal = g._facets
+    assert chordal, g
+    seps = gbei.graphs._separators(facets)
+    for removed in range(1 << g.n):
+        inside = sum(s & removed == s for s in seps) - sum(f & removed == f for f in facets)
+        expected = len(gbei.graphs._component_masks(adj, full & ~removed))
+        assert len(facets) - len(seps) + inside == expected, (g, removed)
+
+
+def test_forest_counts_components_on_every_connected_chordal_graph_up_to_six():
+    """Every removed set, not only those inside the core; the facets come in
+    the filtered enumeration's own order."""
+    seen = 0
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n, "chordal"):
+            assert_forest_counts_every_removed_set(g)
+            seen += 1
+    assert seen == 1 + 1 + 4 + 35 + 541 + 13302
+
+
+def test_forest_counts_components_on_random_disjoint_unions():
+    """Unions of two or three chordal graphs under a random labeling, so
+    the facets of one component are interleaved with the others'."""
+    rng = random.Random(11)
+    chordal = [g for g in random_graphs(rng, 400) if classify(g).chordal and g.n <= 5]
+    for _ in range(150):
+        parts = rng.sample(chordal, rng.randint(2, 3))
+        n = sum(part.n for part in parts)
+        labels = rng.sample(range(1, n + 1), n)
+        edges, offset = [], 0
+        for part in parts:
+            edges += [(labels[offset + u - 1], labels[offset + v - 1]) for u, v in part.edges]
+            offset += part.n
+        g = Graph.from_edges(n, edges)
+        assert not is_connected(g), g
+        assert_forest_counts_every_removed_set(g)
+
+
+def test_separators_do_not_depend_on_the_facet_order():
+    # triangle 1-2-3 with pendant edges 1-5 and 2-4: separators {1} and {2}
+    facets = [0b00111, 0b10001, 0b01010]
+    for order in permutations(facets):
+        assert sorted(gbei.graphs._separators(list(order))) == [0b01, 0b10], order
+    # the meets of consecutive facets in the order _facet_masks lists them
+    # are {2} and nothing: they miss {1}
+    g = graph_of(5, (1, 2), (1, 3), (1, 5), (2, 3), (2, 4))
+    listed = gbei.graphs._facet_masks(g._adj)[0]
+    assert sorted(listed) == sorted(facets)
+    assert [a & b for a, b in zip(listed, listed[1:])] == [0b10, 0]
+
+
+@pytest.mark.parametrize(
+    "g, searches",
+    [(graph_of(12, *((v, v + 1) for v in range(1, 12))), False), (C5, True)],
+    ids=["P12", "C5"],
+)
+def test_only_a_non_chordal_census_searches_for_components(g, searches):
+    """A chordal census counts components from its clique forest; only a
+    non-chordal one runs the search."""
+    code = gbei.graphs._component_masks.__code__
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            seen.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        cut_set_census(g)
+    finally:
+        sys.setprofile(None)
+    assert bool(seen) == searches
+    assert classify(g).chordal != searches
 
 
 def reference_census_views(minimal: list[int], cut_points: dict[int, int]):
@@ -174,7 +260,9 @@ def test_cycles_have_cut_sets_as_large_as_their_clique_number():
 def test_census_visits_only_subsets_of_the_core(monkeypatch):
     cores = []
     real = gbei.graphs._census_masks
-    monkeypatch.setattr(gbei.graphs, "_census_masks", lambda adj, core: cores.append(core) or real(adj, core))
+    monkeypatch.setattr(
+        gbei.graphs, "_census_masks", lambda adj, core, facets: cores.append(core) or real(adj, core, facets)
+    )
     # a triangle 1-2-3 with pendant edges 3-4 and 4-5, and isolated 6
     census = cut_set_census(graph_of(6, (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))
     assert cores == [0b01100]

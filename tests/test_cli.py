@@ -190,7 +190,7 @@ class TestInvariants:
         assert code == 3
 
     def test_a_census_error_that_is_no_size_cap_is_not_a_skip(self, capsys, graph_file, monkeypatch):
-        def broken(n, adj):
+        def broken(adj, core, facets):
             raise ValueError("internal: bad mask")
 
         monkeypatch.setattr("gbei.graphs._census_masks", broken)
