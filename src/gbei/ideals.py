@@ -429,12 +429,24 @@ class Analysis:
             )
         return self.ideal
 
+    @staticmethod
+    def _squarefree(packing, lead: int) -> bool:
+        """The squarefree rule, on a packed lead: no exponent field holds
+        more than its lowest bit."""
+        return not lead & ~packing.low
+
+    def require_squarefree_leads(self):
+        """Raise BasisValidationError unless every lead of the engine's
+        basis is squarefree.  The leads are tested packed; only an
+        offending one is decoded, for the message."""
+        gb = self.basis.groebner()
+        for lead, _ in gb.elements:
+            if not self._squarefree(gb.packing, lead):
+                raise BasisValidationError(f"initial ideal generator {gb.packing.monomial(lead)} is not squarefree")
+
     @_cached_field
     def initial_ideal(self) -> tuple[Monomial, ...]:
         """See initial_ideal; raises BasisValidationError on a
         non-squarefree lead."""
-        leads = self.basis.groebner().leads()
-        for m in leads:
-            if not m.is_squarefree():
-                raise BasisValidationError(f"initial ideal generator {m} is not squarefree")
-        return leads
+        self.require_squarefree_leads()
+        return self.basis.groebner().leads()

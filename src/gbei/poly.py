@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from heapq import heapify, heappop
+from heapq import heapify, heappop, heappush
 
 from .graphs import SizeCap
 
@@ -489,7 +489,13 @@ def _s_pair(packing: _Packing, f, g, l: int) -> dict[int, int | Fraction]:
 
 def _interreduce(packing: _Packing, basis: list) -> list:
     """Turn a Groebner basis of monic divisors into the reduced Groebner
-    basis, by decreasing lead."""
+    basis, by decreasing lead.
+
+    Each tail is reduced against the whole kept list, its own element
+    included.  That gives the remainder the others would give: every term
+    of the tail, and every term a reduction step leaves, is below the
+    element's own lead, and a lead divides no smaller monomial, so the
+    element is never the divisor chosen."""
     # drop elements whose lead is divisible by another retained lead;
     # ascending sort means any proper divisor was seen first
     guard = packing.guard
@@ -501,12 +507,8 @@ def _interreduce(packing: _Packing, basis: list) -> list:
                 break
         else:
             kept.append(d)
-    # tail-reduce each element against all the others; no tail term is
-    # divisible by its own lead, and the lead by no other lead
-    reduced = [
-        (lead, tuple(_reduce(packing, dict(tail), kept[:i] + kept[i + 1 :]).items()))
-        for i, (lead, tail) in enumerate(kept)
-    ]
+    # no lead is divisible by another, so only the tails need reducing
+    reduced = [(lead, tuple(_reduce(packing, dict(tail), kept).items())) for lead, tail in kept]
     reduced.sort(key=lambda d: d[0], reverse=True)
     return reduced
 
@@ -594,12 +596,17 @@ def buchberger(gens) -> GroebnerBasis:
     whose lead no later lead divides.  S-polynomials are reduced against
     that set, which is a complete reduction, because every redundant lead
     is a multiple of a kept one, and the result is interreduced from it.
-    Each pair's lcm is computed once, when its later element is added; the
-    queue is a heap keyed on (lcm degree, lcm, i, j), heapified again after
-    each update; the keys are unique, so the pop order is the
-    normal-selection order.  The loop runs on packed monomials and returns
-    the unique reduced basis, monic and by decreasing leading monomial,
-    still packed (see GroebnerBasis).
+    An update forms the new lead's lcm with each kept lead, which the new
+    pairs read, and with the lead of an element of a queued pair only when
+    the new lead divides that pair's lcm, which criterion B reads; no lcm
+    is formed twice.  A kept lead the new lead divides is its own lcm with
+    it, and only then are the kept elements filtered.  The queue is a heap
+    keyed on (lcm degree, lcm, i, j) that carries each pair's lcm to its
+    S-polynomial: the new pairs are pushed onto it, and it is heapified
+    again only when criterion B dropped a pair.  The keys are unique, so
+    the pop order is the normal-selection order.  The loop runs on packed
+    monomials and returns the unique reduced basis, monic and by
+    decreasing leading monomial, still packed (see GroebnerBasis).
 
     A field's weight 2^(kW) is 1 modulo 2^W - 1, so a packed monomial is
     its degree modulo 2^W - 1; an lcm's degree is at most the sum of its
@@ -619,13 +626,21 @@ def buchberger(gens) -> GroebnerBasis:
 
     def update(element):
         t, lead, degree = len(basis), element[0], packing.degree(element[0])
-        lcms = [lcm(a, lead) for a in leads]
+        lcms = {k: lcm(leads[k], lead) for k in kept}
+
+        def lcm_with(k):  # criterion B's, formed on first use
+            l = lcms.get(k)
+            if l is None:
+                l = lcms[k] = lcm(leads[k], lead)
+            return l
+
         # criterion B: the lead divides l (packing.divides, inlined) and l is
         # the lcm of neither new pair of the pair's elements
-        queue = [
+        dropped = [
             p for p in pairs
-            if ((p[1] | guard) - lead) & guard != guard or lcms[p[2]] == p[1] or lcms[p[3]] == p[1]
+            if ((p[1] | guard) - lead) & guard == guard and lcm_with(p[2]) != p[1] and lcm_with(p[3]) != p[1]
         ]
+        new: list = []
         minimal: list[int] = []
         for l, not_coprime, k in sorted([(lcms[k], lcms[k] != leads[k] + lead, k) for k in kept]):
             top = l | guard
@@ -636,15 +651,24 @@ def buchberger(gens) -> GroebnerBasis:
                 minimal.append(l)
                 if not_coprime:
                     d = l % modulus if degrees[k] + degree < modulus else packing.degree(l)
-                    queue.append((d, l, k, t))
-        heapify(queue)
-        pairs[:] = queue
+                    new.append((d, l, k, t))
+        if dropped:
+            gone = set(dropped)
+            pairs[:] = [p for p in pairs if p not in gone]
+            pairs.extend(new)
+            heapify(pairs)
+        else:
+            for p in new:
+                heappush(pairs, p)
         basis.append(element)
         leads.append(lead)
         degrees.append(degree)
-        kept[:] = [k for k in kept if ((leads[k] | guard) - lead) & guard != guard]
+        # a kept lead the new lead divides is its own lcm with it
+        if any(lcms[k] == leads[k] for k in kept):
+            kept[:] = [k for k in kept if lcms[k] != leads[k]]
+            reducers[:] = [basis[k] for k in kept]
         kept.append(t)
-        reducers[:] = [basis[k] for k in kept]
+        reducers.append(element)
 
     for f in polys:
         update(_divisor(packing.pack(f)))

@@ -115,14 +115,15 @@ def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, la
 
     # the closed form, checked equal to the engine's reduced basis, and its
     # squarefree initial ideal, which feeds the oracle; a failure after the
-    # passing cross-check was built is the initial ideal's
-    closed = cross = None
+    # passing cross-check was built is the initial ideal's.  Both checks
+    # read the packed basis: the leads are decoded only if the oracle runs
+    cross = no_basis = None
     with _lap(laps, "basis"):
         try:
-            size = len(analysis.basis.groebner())  # the packed basis: nothing is decoded
+            size = len(analysis.basis.groebner())
             detail = f"closed form equals the engine's reduced basis: {size} vs {size} elements"
             cross = _check("groebner-cross-check", "pass", detail)
-            closed = analysis.initial_ideal
+            analysis.require_squarefree_leads()
             square = _check("squarefree-initial", "pass", "all engine lead monomials squarefree")
         except BasisValidationError as err:
             if cross is None:
@@ -142,12 +143,12 @@ def _verification_block(analysis: Analysis, max_vars: int, with_primes: bool, la
     oracle_table = why = None
     if nvars > max_vars:
         why = f"skipped: {nvars} variables exceeds --max-vars {max_vars}"
-    elif closed is None:
+    elif no_basis is not None:
         why = no_basis
     else:
         try:  # a capped oracle raises before its lap is recorded
             with _lap(laps, "oracle"):
-                oracle_table = hochster_betti(closed, VarGrid(rows, g.n))
+                oracle_table = hochster_betti(analysis.initial_ideal, VarGrid(rows, g.n))
         except SizeCap as err:
             why = f"skipped: {err}"
     if not analysis.classification.generalized_block_graph:

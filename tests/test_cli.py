@@ -377,7 +377,7 @@ class TestVerify:
         assert "squarefree-initial: pass (all engine lead monomials squarefree)" in out
 
     def test_a_non_squarefree_initial_ideal_fails_only_its_own_check(self, monkeypatch):
-        monkeypatch.setattr(gbei.poly.Monomial, "is_squarefree", lambda self: False)
+        monkeypatch.setattr(Analysis, "_squarefree", staticmethod(lambda packing, lead: False))
         ver = verify_report(P3, 2)["verification"]
         checks = {c["name"]: (c["status"], c["detail"]) for c in ver["checks"]}
         assert checks["groebner-cross-check"] == ("pass", "closed form equals the engine's reduced basis: 2 vs 2 elements")
@@ -385,6 +385,20 @@ class TestVerify:
         assert "is not squarefree" in checks["squarefree-initial"][1]
         skipped = ("skipped", "skipped: initial ideal not squarefree")
         assert checks["depth-vs-oracle"] == checks["regularity-vs-oracle"] == skipped
+
+    def test_a_report_past_max_vars_decodes_no_monomial(self, capsys, graph_file, monkeypatch):
+        """P5 x 3 has 15 variables, past --max-vars and the prime check's
+        limit, so neither the oracle nor the prime check runs, and the
+        basis checks read the packed basis: no monomial is decoded."""
+        decoded = []
+        real = gbei.poly._Packing.monomial
+        monkeypatch.setattr(gbei.poly._Packing, "monomial", lambda self, key: decoded.append(key) or real(self, key))
+        code, out, err = run(capsys, "verify", "--graph", graph_file("p5.txt", P5_TEXT), "--rows", "3", "--json")
+        assert code == 0 and err == ""
+        checks = {c["name"]: c["status"] for c in json.loads(out)["verification"]["checks"]}
+        assert checks["groebner-cross-check"] == checks["squarefree-initial"] == "pass"
+        assert checks["depth-vs-oracle"] == checks["prime-intersection"] == "skipped"
+        assert decoded == []
 
     @pytest.mark.parametrize(
         "branch, statuses",
@@ -405,7 +419,7 @@ class TestVerify:
         elif branch == "failed-cross-check":
             monkeypatch.setattr("gbei.ideals._closed_form_basis", lambda paths, rows, packing: [])
         elif branch == "non-squarefree-initial":
-            monkeypatch.setattr(gbei.poly.Monomial, "is_squarefree", lambda self: False)
+            monkeypatch.setattr(Analysis, "_squarefree", staticmethod(lambda packing, lead: False))
         checks = verify_report(g, 2, **kwargs)["verification"]["checks"]
         assert [c["name"] for c in checks] == [
             "depth-vs-oracle",

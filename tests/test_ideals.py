@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gbei.graphs import Graph, enumerate_connected_graphs
 from gbei.ideals import (
     AdmissiblePath,
+    Analysis,
     AntitoneMap,
     _basis_element,
     _closed_form_basis,
@@ -336,6 +337,12 @@ class TestInitialIdeal:
             for g in enumerate_connected_graphs(n):
                 for rows in (2, 3):
                     assert all(m.is_squarefree() for m in initial_ideal(g, rows))
+
+    @given(st.dictionaries(st.sampled_from([(i, j) for i in (1, 2) for j in (1, 2, 3)]), st.integers(1, 4)))
+    def test_the_packed_rule_reads_as_the_monomial_rule(self, exps):
+        m = Monomial.make(exps)
+        packing = _Packing([Polynomial.variable(v) for v in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]])
+        assert Analysis._squarefree(packing, packing.key(m)) == m.is_squarefree()
 
 
 class TestMinimalPrimes:

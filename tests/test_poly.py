@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import partial
 from unittest import mock
@@ -442,18 +443,40 @@ class TestPairQueue:
         assert any(ELIM in mono.support for f, _ in reference for mono in f.terms)
 
     def test_each_pair_lcm_is_computed_once(self, monkeypatch):
-        # the min-based reference makes 199,101 lcm calls here; the kernel
-        # computes the lcm of each element's lead with every earlier lead
-        # once, when the later element is added, and hands it on to the
-        # criteria, the heap key and the S-pair
-        seen, added = [], []
+        # an update forms the new lead's lcm with every kept lead, which the
+        # new pairs read, and with the lead of an element of a queued pair
+        # only when the new lead divides that pair's lcm (criterion B); the
+        # kept leads are those no later lead divides, and the queue is read
+        # from the running update
+        formed, added, strays = [], [], []
+        kept_at: dict[int, set[int]] = {}
         lcm, divisor = gbei.poly._Packing.lcm, gbei.poly._divisor
-        monkeypatch.setattr(gbei.poly._Packing, "lcm", lambda self, a, b: seen.append((a, b)) or lcm(self, a, b))
+
+        def recording(packing, a, b):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name != "update":
+                frame = frame.f_back
+            t = len(added) - 1
+            if t not in kept_at:
+                kept_at[t] = {
+                    added[k] for k in range(t)
+                    if not any(packing.divides(c, added[k]) for c in added[k + 1 : t])
+                }
+            queued = {added[x] for _, l, i, j in frame.f_locals["pairs"] if packing.divides(b, l) for x in (i, j)}
+            if b != added[t] or a not in kept_at[t] | queued:
+                strays.append((a, b))
+            formed.append((t, a))
+            return lcm(packing, a, b)
+
+        monkeypatch.setattr(gbei.poly._Packing, "lcm", recording)
         monkeypatch.setattr(gbei.poly, "_divisor", lambda terms: added.append(max(terms)) or divisor(terms))
-        gens = gbei_generators(K4, 4).generators
-        assert len(buchberger(gens)) == 36
-        assert seen == [(a, b) for t, b in enumerate(added) for a in added[:t]]
-        assert len(added) >= len(gens) == 36
+        a, b = elimination_ideal_pair()
+        assert len(intersect(a, b).groebner()) == 6
+        assert strays == []
+        assert len(set(formed)) == len(formed)
+        assert all(kept <= {a for u, a in formed if u == t} for t, kept in kept_at.items())
+        # fewer than the lcm with every earlier lead
+        assert len(formed) < len(added) * (len(added) - 1) // 2
 
 
 # random inputs for the packed kernel: the elimination variable and a
