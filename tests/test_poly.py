@@ -474,7 +474,7 @@ class TestPairQueue:
         assert len(intersect(a, b).groebner()) == 6
         assert strays == []
         assert len(set(formed)) == len(formed)
-        assert all(kept <= {a for u, a in formed if u == t} for t, kept in kept_at.items())
+        assert all(kept <= {lead for u, lead in formed if u == t} for t, kept in kept_at.items())
         # fewer than the lcm with every earlier lead
         assert len(formed) < len(added) * (len(added) - 1) // 2
 
