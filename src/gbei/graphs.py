@@ -17,7 +17,6 @@ neighborhoods at removal, plus Bron-Kerbosch on whatever is left.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 
@@ -300,46 +299,21 @@ def _leaf_order(facets: list[int]) -> tuple[int, ...]:
     The vertices of a peeled leaf off that union lie in no other facet, so
     the facets left are those of an induced subgraph, again chordal, and
     the clique complex of a chordal graph is a quasi-forest (Herzog-Hibi-
-    Zheng 2004): it has a leaf, and no step stalls.
-
-    No step passes over every facet.  The facets left are indexed by
-    vertex, so a vertex is in the union of the meets (the core) while two
-    of them hold it, and a facet's meet with the core lies in another
-    facet only if that facet holds the meet's vertex with the fewest
-    facets.  The candidates wait in a heap by position, every facet at
-    first, and each is tested when it comes up: a leaf is peeled, a facet
-    that is not is dropped.  Peeling a facet shrinks only the meets of the
-    facets left alone holding one of its vertices, and only a shrunk meet
-    turns a facet into a leaf, so only those become candidates again."""
-    through: list[set[int]] = [set() for _ in range(max(facets, default=0).bit_length())]
-    for i, f in enumerate(facets):
-        for v in _bits(f):
-            through[v].add(i)
-    core = sum(1 << v for v, held in enumerate(through) if len(held) > 1)
-    left = [True] * len(facets)
-    candidates = [-i for i in range(len(facets))]
-    heapify(candidates)
+    Zheng 2004): it has a leaf, and no step stalls."""
+    left = list(facets)
     peeled = []
-    while len(peeled) < len(facets) - 1:
-        if not candidates:
+    while len(left) > 1:
+        core = _core(left)
+        for pos in reversed(range(len(left))):
+            f = left[pos]
+            meet = f & core
+            if any(h & f == meet for h in left if h != f):
+                break
+        else:
             raise AssertionError("no facet of a chordal graph is a leaf")
-        i = -heappop(candidates)
-        if not left[i]:
-            continue
-        meet = facets[i] & core
-        if meet:
-            held = min((through[v] for v in _bits(meet)), key=len)
-            if not any(facets[h] & meet == meet for h in held if h != i):
-                continue
-        left[i] = False
-        peeled.append(i)
-        for v in _bits(facets[i]):
-            held = through[v]
-            held.remove(i)
-            if len(held) == 1:
-                core &= ~(1 << v)
-                heappush(candidates, -min(held))
-    return tuple(i for i in range(len(facets)) if left[i]) + tuple(peeled[::-1])
+        peeled.append(left.pop(pos))
+    index = {f: i for i, f in enumerate(facets)}
+    return tuple(index[f] for f in left + peeled[::-1])
 
 
 @dataclass(frozen=True)

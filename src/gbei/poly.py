@@ -636,9 +636,9 @@ def buchberger(gens) -> GroebnerBasis:
 
         # criterion B: the lead divides l (packing.divides, inlined) and l is
         # the lcm of neither new pair of the pair's elements
-        dropped = [
+        queue = [
             p for p in pairs
-            if ((p[1] | guard) - lead) & guard == guard and lcm_with(p[2]) != p[1] and lcm_with(p[3]) != p[1]
+            if ((p[1] | guard) - lead) & guard != guard or lcm_with(p[2]) == p[1] or lcm_with(p[3]) == p[1]
         ]
         new: list = []
         minimal: list[int] = []
@@ -652,10 +652,8 @@ def buchberger(gens) -> GroebnerBasis:
                 if not_coprime:
                     d = l % modulus if degrees[k] + degree < modulus else packing.degree(l)
                     new.append((d, l, k, t))
-        if dropped:
-            gone = set(dropped)
-            pairs[:] = [p for p in pairs if p not in gone]
-            pairs.extend(new)
+        if len(queue) < len(pairs):
+            pairs[:] = queue + new
             heapify(pairs)
         else:
             for p in new:

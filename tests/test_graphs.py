@@ -176,26 +176,6 @@ def cycle_or_wheel_with_simplicial_parts(rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def reference_leaf_order(facets: list[int]) -> tuple[int, ...]:
-    """The peeling order by a full pass per step: the core of the facets
-    left is recomputed, and each candidate leaf, from the last in list
-    order, is tested against every other facet left."""
-    left = list(facets)
-    peeled = []
-    while len(left) > 1:
-        core = gbei.graphs._core(left)
-        for pos in reversed(range(len(left))):
-            f = left[pos]
-            meet = f & core
-            if any(h & f == meet for h in left if h != f):
-                break
-        else:
-            raise AssertionError("no facet of a chordal graph is a leaf")
-        peeled.append(left.pop(pos))
-    index = {f: i for i, f in enumerate(facets)}
-    return tuple(index[f] for f in left + peeled[::-1])
-
-
 class TestParsing:
     def test_roundtrip_with_comments_and_blanks(self):
         g = parse_graph("# a path\n\n3\n1 2\n\n2 3\n")
@@ -335,21 +315,6 @@ class TestCliqueComplex:
                 )
                 assert any(meet <= prev for prev in order[:k]), g
         assert clique_complex(C4).leaf_order is None
-
-    def test_leaf_order_matches_the_full_pass_reference(self):
-        # in clique_complex's order and in the order _facet_masks finds
-        # them, on every connected chordal graph with n <= 6
-        for n in range(1, 7):
-            for g in enumerate_connected_graphs(n, "chordal"):
-                found = g._facets[0]
-                for facets in (sorted(found, key=gbei.graphs._mask_vertices), list(found)):
-                    assert gbei.graphs._leaf_order(facets) == reference_leaf_order(facets), g
-        rng = random.Random(5)
-        for g in (graph_of(40, *((1, v) for v in range(2, 41))), tailed_sun(12)):
-            facets = list(g._facets[0])
-            for _ in range(20):
-                rng.shuffle(facets)
-                assert gbei.graphs._leaf_order(facets) == reference_leaf_order(facets), g
 
 
 class TestClassification:

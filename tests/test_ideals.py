@@ -341,7 +341,7 @@ class TestInitialIdeal:
     @given(st.dictionaries(st.sampled_from([(i, j) for i in (1, 2) for j in (1, 2, 3)]), st.integers(1, 4)))
     def test_the_packed_rule_reads_as_the_monomial_rule(self, exps):
         m = Monomial.make(exps)
-        packing = _Packing([Polynomial.variable(v) for v in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]])
+        packing = grid_packing(3, 2)
         assert Analysis._squarefree(packing, packing.key(m)) == m.is_squarefree()
 
 
