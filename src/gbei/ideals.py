@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from operator import itemgetter
 
 from .graphs import (
     Classification,
@@ -142,42 +143,50 @@ class AntitoneMap:
     values: tuple[int, ...]
 
 
+def _row_sequences(vertices: tuple[int, ...], rows: int):
+    """The antitone rule of a path's vertices.  Read in order of
+    increasing vertex label, an antitone map is a non-increasing sequence
+    of rows, one row per vertex.  The start's label is below the end's, so
+    its row is at least the end's; the sequences where it is strictly
+    above are yielded, each in label order."""
+    labels = sorted(vertices)
+    first, last = labels.index(vertices[0]), labels.index(vertices[-1])
+    for seq in combinations_with_replacement(range(rows, 0, -1), len(labels)):
+        if seq[first] > seq[last]:
+            yield seq
+
+
+def _label_ranks(vertices: tuple[int, ...]) -> list[int]:
+    """The rank of each position's vertex among the path's labels."""
+    rank = {v: k for k, v in enumerate(sorted(vertices))}
+    return [rank[v] for v in vertices]
+
+
 def antitone_maps(path: AdmissiblePath, rows: int) -> tuple[AntitoneMap, ...]:
-    """All valid row assignments, in lexicographic order of value tuples.
-
-    Read in order of increasing vertex label, an antitone map is a
-    non-increasing sequence of rows, so each map lays one such sequence
-    along the positions in that order.  The start's label is below the
-    end's, so its row is at least the end's; the sequences where it is
-    strictly above are kept.
-    """
+    """All valid row assignments, in lexicographic order of value tuples:
+    each row sequence of the antitone rule (see _row_sequences) laid
+    along the path's positions."""
     _require_rows(rows)
-    verts = path.vertices
-    rank = [sorted(verts).index(v) for v in verts]
-    first, last = rank[0], rank[-1]
-    values = sorted(
-        tuple(seq[k] for k in rank)
-        for seq in combinations_with_replacement(range(rows, 0, -1), len(verts))
-        if seq[first] > seq[last]
-    )
-    return tuple(AntitoneMap(path, v) for v in values)
+    lay = itemgetter(*_label_ranks(path.vertices))
+    return tuple(AntitoneMap(path, v) for v in sorted(map(lay, _row_sequences(path.vertices, rows))))
 
 
-def _basis_element(am: AntitoneMap, shifts: dict[Var, int]) -> tuple[int, tuple[tuple[int, int]]]:
+def _basis_element(
+    vertices: tuple[int, ...], values: tuple[int, ...], shifts: dict[Var, int]
+) -> tuple[int, tuple[tuple[int, int]]]:
     """The interior variables x[kappa(k), i_k] times the minor on rows
-    kappa(r) < kappa(0) and columns i_0 < i_r, packed on a packing with
-    the given field shifts as its monic (lead, ((tail, -1),)) pair.  The
+    kappa(r) < kappa(0) and columns i_0 < i_r, for the path `vertices`
+    with the rows `values` by position, packed on a packing with the
+    given field shifts as its monic (lead, ((tail, -1),)) pair.  The
     path's vertices are distinct columns, so all these variables are
     distinct and each monomial is a sum of single-exponent fields; the
     lead is the diagonal x[kappa(r), i_0] * x[kappa(0), i_r].  A variable
     with no field raises KeyError."""
-    verts = am.path.vertices
-    values = am.values
-    r = len(verts) - 1
-    interior = sum(1 << shifts[values[k], verts[k]] for k in range(1, r))
+    r = len(vertices) - 1
+    interior = sum(1 << shifts[values[k], vertices[k]] for k in range(1, r))
     low, high = values[r], values[0]
-    lead = interior + (1 << shifts[low, verts[0]]) + (1 << shifts[high, verts[r]])
-    tail = interior + (1 << shifts[low, verts[r]]) + (1 << shifts[high, verts[0]])
+    lead = interior + (1 << shifts[low, vertices[0]]) + (1 << shifts[high, vertices[r]])
+    tail = interior + (1 << shifts[low, vertices[r]]) + (1 << shifts[high, vertices[0]])
     return lead, ((tail, -1),)
 
 
@@ -187,11 +196,19 @@ class BasisValidationError(RuntimeError):
 
 def _closed_form_basis(paths, rows: int, packing) -> list[tuple[int, tuple[tuple[int, int]]]]:
     """The distinct closed-form elements of the admissible `paths` by
-    decreasing lead (see rauh_basis), packed on the engine's `packing`.  A
-    variable outside it is in no defining generator, so no closed form
-    that uses it is the engine's basis: BasisValidationError."""
+    decreasing lead (see rauh_basis), packed on the engine's `packing`.
+    Each element is packed straight from a row sequence of the antitone
+    rule, laid along the path's positions by the rank of their labels.  A
+    variable outside the packing is in no defining generator, so no
+    closed form that uses it is the engine's basis: BasisValidationError."""
+    shifts = packing.shifts
+    elements = set()
     try:
-        elements = {_basis_element(am, packing.shifts) for path in paths for am in antitone_maps(path, rows)}
+        for path in paths:
+            verts = path.vertices
+            lay = itemgetter(*_label_ranks(verts))
+            for seq in _row_sequences(verts, rows):
+                elements.add(_basis_element(verts, lay(seq), shifts))
     except KeyError as err:
         raise BasisValidationError(f"closed-form variable {err.args[0]} is in no defining generator") from None
     return sorted(elements, reverse=True)

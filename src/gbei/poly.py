@@ -370,7 +370,7 @@ class _Packing:
     """The packed layout of one kernel call: every variable its inputs use
     gets a fixed-width field of one int (see the module docstring)."""
 
-    __slots__ = ("shifts", "width", "limit", "low", "guard")
+    __slots__ = ("shifts", "width", "limit", "low", "guard", "modulus", "high")
 
     def __init__(self, polys):
         variables = sorted({v for f in polys for m in f.terms for v, _ in m.exps})
@@ -380,6 +380,13 @@ class _Packing:
         self.limit = (1 << (width - 1)) - 1  # the largest exponent below the guard bit
         self.low = sum(1 << s for s in self.shifts.values())
         self.guard = self.low << (width - 1)
+        self.modulus = modulus = (1 << width) - 1
+        # the most bits b a field may use so that the fields sum below the
+        # modulus however they are filled: len(variables) * (2^b - 1) < modulus
+        bits = width - 1
+        while len(variables) * ((1 << bits) - 1) >= modulus:
+            bits -= 1
+        self.high = self.low * (modulus ^ ((1 << bits) - 1))  # every field's bits from b up
 
     def cap(self) -> SizeCap:
         return SizeCap(f"an exponent exceeds the packed-monomial limit of {self.limit}")
@@ -397,7 +404,9 @@ class _Packing:
         return Monomial(tuple((v, e) for v, s in self.shifts.items() if (e := key >> s & limit)))
 
     def pack(self, f: Polynomial) -> dict[int, int | Fraction]:
-        return {self.key(m): c for m, c in f.terms.items()}
+        """The packed terms of f, each coefficient coerced by _quotient, so
+        that no float enters the kernel."""
+        return {self.key(m): _quotient(c) for m, c in f.terms.items()}
 
     def polynomial(self, terms: dict[int, int | Fraction]) -> Polynomial:
         return Polynomial({self.monomial(k): terms[k] for k in sorted(terms, reverse=True)})
@@ -429,6 +438,13 @@ class _Packing:
         return not ((a | g) - low) & ((b | g) - low) & g
 
     def degree(self, key: int) -> int:
+        """The total degree of a packed monomial.  A field's weight 2^(kW)
+        is 1 modulo 2^W - 1, so the key is its degree modulo 2^W - 1; when
+        no field sets a bit of `high`, the fields sum below the modulus
+        and the remainder is the degree.  Otherwise the fields are added
+        one by one."""
+        if not key & self.high:
+            return key % self.modulus
         total = 0
         while key:
             total += key & self.limit
@@ -437,10 +453,14 @@ class _Packing:
 
 
 def _divisor(terms: dict[int, int | Fraction]) -> tuple[int, tuple[tuple[int, int | Fraction], ...]]:
-    """A nonzero packed polynomial made monic, as its (lead, tail) pair."""
+    """A nonzero packed polynomial, which is consumed, made monic as its
+    (lead, tail) pair.  A lead coefficient of 1 leaves the tail as it is:
+    every coefficient entered the kernel through pack, already coerced."""
     lead = max(terms)
-    lc = terms[lead]
-    return lead, tuple((m, _quotient(c, lc)) for m, c in terms.items() if m != lead)
+    lc = terms.pop(lead)
+    if lc == 1:
+        return lead, tuple(terms.items())
+    return lead, tuple((m, _quotient(c, lc)) for m, c in terms.items())
 
 
 def _reduce(packing: _Packing, work: dict[int, int | Fraction], divisors) -> dict[int, int | Fraction]:
@@ -476,9 +496,19 @@ def _s_pair(packing: _Packing, f, g, l: int) -> dict[int, int | Fraction]:
     """S-polynomial of the monic divisors f and g whose leads have lcm l;
     the two lead terms cancel, so they are never formed."""
     (lf, tf), (lg, tg) = f, g
-    work = {packing.product(t, l - lf): c for t, c in tf}
+    guard = packing.guard
+    shift = l - lf
+    work = {}
+    for t, c in tf:
+        key = t + shift  # packing.product(t, shift), inlined
+        if key & guard:
+            raise packing.cap()
+        work[key] = c
+    shift = l - lg
     for t, c in tg:
-        key = packing.product(t, l - lg)
+        key = t + shift
+        if key & guard:
+            raise packing.cap()
         s = work.get(key, 0) - c
         if s:
             work[key] = s
@@ -596,27 +626,30 @@ def buchberger(gens) -> GroebnerBasis:
     whose lead no later lead divides.  S-polynomials are reduced against
     that set, which is a complete reduction, because every redundant lead
     is a multiple of a kept one, and the result is interreduced from it.
-    An update forms the new lead's lcm with each kept lead, which the new
-    pairs read, and with the lead of an element of a queued pair only when
-    the new lead divides that pair's lcm, which criterion B reads; no lcm
-    is formed twice.  A kept lead the new lead divides is its own lcm with
-    it, and only then are the kept elements filtered.  The queue is a heap
-    keyed on (lcm degree, lcm, i, j) that carries each pair's lcm to its
-    S-polynomial: the new pairs are pushed onto it, and it is heapified
-    again only when criterion B dropped a pair.  The keys are unique, so
-    the pop order is the normal-selection order.  The loop runs on packed
-    monomials and returns the unique reduced basis, monic and by
-    decreasing leading monomial, still packed (see GroebnerBasis).
+    An update makes one pass over the kept leads, forming each one's lcm
+    with the new lead, listing the new pair candidates and noting whether
+    the new lead divides a kept lead, which is then its own lcm with it;
+    only then are the kept elements filtered.  It forms the lcm with the
+    lead of an element of a queued pair only when the new lead divides
+    that pair's lcm, which criterion B reads; no lcm is formed twice.
+    The queue is a heap keyed on (lcm degree, lcm, i, j) that carries
+    each pair's lcm to its S-polynomial: the new pairs are pushed onto
+    it, and it is heapified again only when criterion B dropped a pair.
+    The keys are unique, so the pop order is the normal-selection order.
+    The loop runs on packed monomials and returns the unique reduced
+    basis, monic and by decreasing leading monomial, still packed (see
+    GroebnerBasis).
 
     A field's weight 2^(kW) is 1 modulo 2^W - 1, so a packed monomial is
-    its degree modulo 2^W - 1; an lcm's degree is at most the sum of its
-    leads' degrees, so while that sum is below the modulus the degree is
-    the remainder, and only past it is the per-field loop needed.
+    its degree modulo 2^W - 1.  Each element's lead degree is read once,
+    through _Packing.degree; an lcm's degree is at most the sum of its
+    leads' degrees, so while that sum is below the modulus a pair's
+    degree is the remainder, and only past it is _Packing.degree asked.
     """
     polys = [f for f in gens if f]
     packing = _Packing(polys)
     guard, lcm = packing.guard, packing.lcm
-    modulus = (1 << packing.width) - 1
+    modulus = packing.modulus
     basis: list = []
     leads: list[int] = []
     degrees: list[int] = []
@@ -626,7 +659,19 @@ def buchberger(gens) -> GroebnerBasis:
 
     def update(element):
         t, lead, degree = len(basis), element[0], packing.degree(element[0])
-        lcms = {k: lcm(leads[k], lead) for k in kept}
+        # one pass over the kept leads: each lcm with the new lead, the new
+        # pair candidates, and whether the new lead divides a kept lead,
+        # which is then its own lcm with it
+        lcms = {}
+        candidates = []
+        divides_kept = False
+        for k in kept:
+            lk = leads[k]
+            l = lcms[k] = lcm(lk, lead)
+            if l == lk:
+                divides_kept = True
+            candidates.append((l, l != lk + lead, k))
+        candidates.sort()
 
         def lcm_with(k):  # criterion B's, formed on first use
             l = lcms.get(k)
@@ -642,7 +687,7 @@ def buchberger(gens) -> GroebnerBasis:
         ]
         new: list = []
         minimal: list[int] = []
-        for l, not_coprime, k in sorted([(lcms[k], lcms[k] != leads[k] + lead, k) for k in kept]):
+        for l, not_coprime, k in candidates:
             top = l | guard
             for m in minimal:  # criteria M and F
                 if (top - m) & guard == guard:
@@ -661,8 +706,7 @@ def buchberger(gens) -> GroebnerBasis:
         basis.append(element)
         leads.append(lead)
         degrees.append(degree)
-        # a kept lead the new lead divides is its own lcm with it
-        if any(lcms[k] == leads[k] for k in kept):
+        if divides_kept:
             kept[:] = [k for k in kept if lcms[k] != leads[k]]
             reducers[:] = [basis[k] for k in kept]
         kept.append(t)

@@ -32,7 +32,7 @@ from gbei.report import (
 )
 from gbei.graphs import Graph, SizeCap, cut_set_census, enumerate_connected_graphs
 from gbei.homology import hochster_betti
-from gbei.ideals import Analysis, AntitoneMap, admissible_paths, minor
+from gbei.ideals import Analysis, admissible_paths, minor
 from gbei.poly import VarGrid
 
 from conftest import C4, FAN, P3, P5
@@ -277,9 +277,9 @@ class TestVerify:
         assert code == 3
 
     def test_a_basis_error_that_is_no_size_cap_is_not_a_skip(self, capsys, graph_file, monkeypatch):
-        def equal_rows(am, shifts):
-            v0 = am.values[0]
-            return minor((v0, v0), (am.path.start, am.path.end))
+        def equal_rows(vertices, values, shifts):
+            v0 = values[0]
+            return minor((v0, v0), (vertices[0], vertices[-1]))
 
         monkeypatch.setattr("gbei.ideals._basis_element", equal_rows)
         path = graph_file("p3.txt", "3\n1 2\n2 3\n")
@@ -330,8 +330,8 @@ class TestVerify:
         comparison with the engine's reduced basis sees it."""
         real = gbei.ideals._basis_element
 
-        def flipped(am, shifts):
-            lead, tail = real(am, shifts)
+        def flipped(vertices, values, shifts):
+            lead, tail = real(vertices, values, shifts)
             return lead, tuple((m, -c) for m, c in tail)
 
         monkeypatch.setattr(gbei.ideals, "_basis_element", flipped)
@@ -352,8 +352,8 @@ class TestVerify:
         a KeyError."""
         real = gbei.ideals._basis_element
 
-        def shifted(am, shifts):
-            return real(AntitoneMap(am.path, tuple(v + 1 for v in am.values)), shifts)
+        def shifted(vertices, values, shifts):
+            return real(vertices, tuple(v + 1 for v in values), shifts)
 
         monkeypatch.setattr(gbei.ideals, "_basis_element", shifted)
         path = graph_file("p3.txt", "3\n1 2\n2 3\n")

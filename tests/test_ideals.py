@@ -32,6 +32,7 @@ from gbei.poly import (
     Monomial,
     Polynomial,
     VarGrid,
+    _divisor,
     _Packing,
     buchberger,
     ideal_equal,
@@ -126,6 +127,23 @@ def grid_packing(n: int, rows: int):
     """The kernel's packing with a field for every variable of the
     rows x n grid."""
     return _Packing([Polynomial.variable(v) for v in VarGrid(rows, n).variables()])
+
+
+def connected_graph(order, extra) -> Graph:
+    """The graph on a spanning path through the vertices in `order`, plus
+    the `extra` edges."""
+    path = {(min(e), max(e)) for e in zip(order, order[1:])}
+    return Graph.from_edges(len(order), sorted(path | extra))
+
+
+# connected graphs on 2 to 7 vertices, labeled at random
+connected_graphs = st.integers(2, 7).flatmap(
+    lambda n: st.builds(
+        connected_graph,
+        st.permutations(range(1, n + 1)),
+        st.sets(st.sampled_from(list(combinations(range(1, n + 1), 2)))),
+    )
+)
 
 
 def labeled_graphs(n: int):
@@ -306,10 +324,24 @@ class TestRauhBasis:
                     for rows in (2, 3, 4):
                         packing = grid_packing(n, rows)
                         for am in antitone_maps(path, rows):
-                            got = packing.element(_basis_element(am, packing.shifts))
+                            got = packing.element(_basis_element(path.vertices, am.values, packing.shifts))
                             want = reference_basis_element(am)
                             assert got.sorted_terms() == want.sorted_terms(), am
                             assert {type(c) for c in got.terms.values()} == {int}, am
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs, st.integers(2, 4))
+    def test_the_closed_form_is_the_set_of_the_antitone_maps(self, g, rows):
+        """The packed closed form equals the elements of every antitone map
+        of every admissible path, built through Monomial products."""
+        packing = grid_packing(g.n, rows)
+        paths = admissible_paths(g)
+        want = {
+            _divisor(packing.pack(reference_basis_element(am)))
+            for path in paths
+            for am in antitone_maps(path, rows)
+        }
+        assert _closed_form_basis(paths, rows, packing) == sorted(want, reverse=True)
 
     def test_nonchordal_graph_still_validates(self):
         basis = rauh_basis(C4, 2).groebner()

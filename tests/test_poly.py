@@ -432,6 +432,24 @@ class TestPairQueue:
         assert s_pairs == reference
         assert reference
 
+    @pytest.mark.parametrize(
+        "g, rows",
+        [
+            # labeled shapes of the benchmark's groebner catalogue: 18 and
+            # 15 variables
+            (graph_of(9, (1, 4), (1, 7), (2, 7), (3, 7), (3, 8), (4, 7), (5, 7), (5, 9), (6, 8), (7, 8), (7, 9)), 2),
+            (graph_of(5, (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4)), 3),
+        ],
+        ids=["9x2", "5x3"],
+    )
+    def test_same_s_pairs_in_the_same_order_on_groebner_catalogue_shapes(self, s_pairs, g, rows):
+        gens = gbei_generators(g, rows).generators
+        reference = []
+        want = reference_gebauer_moeller(gens, reference)
+        assert buchberger(gens) == want
+        assert s_pairs == reference
+        assert len(reference) > 100
+
     def test_same_s_pairs_in_the_same_order_on_an_elimination_ideal(self, s_pairs, monkeypatch):
         a, b = elimination_ideal_pair()
         reference = []
@@ -620,6 +638,15 @@ class TestExactCoefficients:
             [("x[1,2]", 1, int), ("x[2,1]", -1, int)],
         ]
 
+    def test_a_float_under_a_lead_of_one_is_coerced_on_entry(self):
+        # a lead coefficient of 1 leaves the tail undivided, so the kernel
+        # coerces each coefficient as it packs its input
+        f = Polynomial({mono((1, 1)): 1, mono((2, 2)): -0.5})
+        gb = buchberger([f])
+        assert [[(c, type(c)) for _, c in g.sorted_terms()] for g in gb] == [[(1, int), (Fraction(-1, 2), Fraction)]]
+        r = normal_form(Polynomial.term(mono((1, 1))), [f])
+        assert exact(r) and r == Polynomial.term(mono((2, 2)), Fraction(1, 2))
+
     def test_whole_quotients_and_coerced_coefficients_are_ints(self):
         f = Polynomial.term(mono((1, 1)), -2) + Polynomial.term(mono((2, 2)), 4)
         assert [type(c) for c in f.monic().terms.values()] == [int, int]
@@ -668,11 +695,42 @@ def degree_calls(monkeypatch) -> tuple[list, list]:
     return seen, held
 
 
+def shortcut_bound(width: int, fields: int) -> int:
+    """2^b for the largest b below the guard bit with
+    fields * (2^b - 1) < 2^width - 1."""
+    return 1 << max(b for b in range(width) if fields * ((1 << b) - 1) < (1 << width) - 1)
+
+
 class TestPairDegree:
-    """A queued pair's lcm degree is its packed key modulo 2^W - 1 while
-    the two leads' degrees sum below that; past it the per-field loop is
-    used.  Either way the heap keys, and so the S-pair order, are those of
-    the Gebauer-Moeller reference."""
+    """The modulus 2^W - 1 is read in two places.  `_Packing.degree`
+    reads a lead's degree as its packed key modulo 2^W - 1 when a mask
+    shows that no field reaches 2^b, so that the fields sum below the
+    modulus; otherwise it adds the fields one by one.  The update in
+    `buchberger` reads a queued pair's lcm degree as its key modulo
+    2^W - 1 while the two leads' degrees sum below that, and asks
+    `_Packing.degree` past it.  Either way the heap keys, and so the
+    S-pair order, are those of the Gebauer-Moeller reference."""
+
+    @pytest.mark.parametrize(
+        "width, grid, exponents, shortcut",
+        [
+            pytest.param(16, (2, 9), lambda bound, f: [bound - 1] * f, True, id="every-field-just-below-the-bound"),
+            pytest.param(16, (2, 9), lambda bound, f: [bound] + [bound - 1] * (f - 1), False, id="a-field-at-the-bound"),
+            pytest.param(16, (4, 10), lambda bound, f: [1, 2] * (f // 2), True, id="forty-fields"),
+            pytest.param(3, (2, 3), lambda bound, f: [1] * f, True, id="six-fields-at-width-3"),
+            pytest.param(3, (7, 1), lambda bound, f: [1] * f, False, id="seven-fields-at-width-3"),
+            pytest.param(3, (3, 1), lambda bound, f: [3, 3, 1], False, id="degree-at-the-modulus-at-width-3"),
+            pytest.param(16, (2, 9), lambda bound, f: [0] * f, True, id="the-empty-key"),
+        ],
+    )
+    def test_the_degree_shortcut_reads_the_per_field_sum(self, monkeypatch, width, grid, exponents, shortcut):
+        monkeypatch.setattr(gbei.poly, "_FIELD_BITS", width)
+        variables = VarGrid(*grid).variables()
+        packing = gbei.poly._Packing([Polynomial.variable(v) for v in variables])
+        m = Monomial.make(dict(zip(variables, exponents(shortcut_bound(width, len(variables)), len(variables)))))
+        key = packing.key(m)
+        assert packing.degree(key) == m.degree
+        assert (not key & packing.high) == shortcut
 
     def test_one_degree_loop_per_element_at_the_default_width(self, monkeypatch):
         seen, held = degree_calls(monkeypatch)
