@@ -85,7 +85,7 @@ class Graph:
         return Graph(n, frozenset(canon))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(self._edge_list)
 
     def degree(self, v: int) -> int:
         if not (1 <= v <= self.n):
@@ -101,11 +101,35 @@ class Graph:
         return adj
 
     @_cached_field
+    def _edge_list(self) -> list[tuple[int, int]]:
+        """The edges in increasing order; sorted_edges hands out copies."""
+        return sorted(self.edges)
+
+    @_cached_field
     def _facets(self) -> tuple[list[int], bool]:
         """(maximal clique masks, chordal flag), computed once per graph and
-        shared by classify, cut_set_census and clique_complex; a filtered
-        enumerate_connected_graphs fills it in."""
+        shared by classify, cut_set_census and clique_complex.  A filtered
+        enumerate_connected_graphs stores the facets it built vertex by
+        vertex, and under 'block' and 'gblock' _clique_number and
+        _classification with them; every enumerated graph also carries
+        _adj, _components and _edge_list."""
         return _facet_masks(self._adj)
+
+    @_cached_field
+    def _clique_number(self) -> int:
+        """The largest facet's vertex count, which the classification and
+        the census both report."""
+        return max(map(int.bit_count, self._facets[0]))
+
+    @_cached_field
+    def _classification(self) -> "Classification":
+        """What classify returns."""
+        return Classification(*_classify_masks(*self._facets), self._clique_number)
+
+    @_cached_field
+    def _components(self) -> list[int]:
+        """The vertex masks of the connected components."""
+        return _component_masks(self._adj, (1 << self.n) - 1)
 
     def __repr__(self):
         es = " ".join(f"{u}-{v}" for u, v in self.sorted_edges())
@@ -183,8 +207,26 @@ def _component_masks(adj: list[int], mask: int) -> list[int]:
 def _is_path(adj: list[int], comp: int) -> bool:
     """Whether the connected vertex mask `comp` induces a path: a tree (one
     edge fewer than vertices) of maximum degree at most 2."""
-    degs = [(adj[v] & comp).bit_count() for v in _bits(comp)]
-    return sum(degs) == 2 * (len(degs) - 1) and max(degs) <= 2
+    total = 0
+    rest = comp
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        d = (adj[b.bit_length() - 1] & comp).bit_count()
+        if d > 2:
+            return False
+        total += d
+    return total == 2 * (comp.bit_count() - 1)
+
+
+def _is_clique(adj: list[int], mask: int) -> bool:
+    """Whether the vertices of `mask` are pairwise adjacent."""
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        if mask & ~adj[b.bit_length() - 1]:
+            return False
+    return True
 
 
 def _mask_vertices(mask: int) -> tuple[int, ...]:
@@ -199,20 +241,10 @@ def _simplicial_elimination(adj: list[int]) -> tuple[list[int], list[int], int]:
     its removal, and the kernel: the mask of vertices never removed.  The
     kernel is empty exactly when the graph is chordal (Fulkerson-Gross), and
     the order is then a perfect elimination order."""
-
-    def simplicial(v: int, rem: int) -> bool:
-        rest = adj[v] & rem
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if rest & ~adj[b.bit_length() - 1]:
-                return False
-        return True
-
     rem = (1 << len(adj)) - 1
     # removing a vertex keeps the others' simpliciality, and changes only
     # its neighbors' neighborhoods
-    simp = sum(1 << v for v in range(len(adj)) if simplicial(v, rem))
+    simp = sum(1 << v for v in range(len(adj)) if _is_clique(adj, adj[v]))
     order, closed = [], []
     while simp:
         b = simp & -simp
@@ -223,7 +255,7 @@ def _simplicial_elimination(adj: list[int]) -> tuple[list[int], list[int], int]:
         rem ^= b
         simp ^= b
         for w in _bits(nbrs & ~simp):
-            if simplicial(w, rem):
+            if _is_clique(adj, adj[w] & rem):
                 simp |= 1 << w
     return order, closed, rem
 
@@ -361,10 +393,9 @@ def _common_meet(through: list[int]) -> int | None:
     return common
 
 
-def _classify_masks(facets: list[int], chordal: bool) -> tuple[bool, bool, bool, int]:
-    omega = max(m.bit_count() for m in facets)
+def _classify_masks(facets: list[int], chordal: bool) -> tuple[bool, bool, bool]:
     if not chordal:
-        return False, False, False, omega
+        return False, False, False
     # facets that meet share a vertex: test them only within the facets
     # through one vertex; a block graph's facets there meet in {v} alone
     through: dict[int, list[int]] = {}
@@ -376,9 +407,9 @@ def _classify_masks(facets: list[int], chordal: bool) -> tuple[bool, bool, bool,
         if len(fs) > 1:
             common = _common_meet(fs)
             if common is None:
-                return True, False, False, omega
+                return True, False, False
             block = block and common == 1 << v
-    return True, block, True, omega
+    return True, block, True
 
 
 def classify(g: Graph) -> Classification:
@@ -387,25 +418,20 @@ def classify(g: Graph) -> Classification:
     A block graph is a chordal graph whose maximal cliques pairwise share at
     most one vertex.  A generalized block graph is a chordal graph in which
     any three maximal cliques with a common vertex have pairwise equal
-    intersections.
+    intersections.  It is computed once per graph, from the facets, and
+    cached on it; a graph enumerated under 'block' or 'gblock' carries the
+    one its search proved.
     """
-    chordal, block, gblock, omega = _classify_masks(*g._facets)
-    return Classification(
-        chordal=chordal,
-        block_graph=block,
-        generalized_block_graph=gblock,
-        clique_number=omega,
-    )
+    return g._classification
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the components, each sorted, ordered by least element."""
-    comps = _component_masks(g._adj, (1 << g.n) - 1)
-    return tuple(sorted(_mask_vertices(m) for m in comps))
+    return tuple(sorted(_mask_vertices(m) for m in g._components))
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_component_masks(g._adj, (1 << g.n) - 1)) == 1
+    return len(g._components) == 1
 
 
 def induced_subgraph(g: Graph, keep) -> tuple[Graph, dict[int, int]]:
@@ -597,7 +623,7 @@ def cut_set_census(g: Graph) -> CutSetCensus:
         raise SizeCap(f"census is exhaustive over subsets; n={g.n} is past the intended scale")
     facets, chordal = g._facets
     minimal, cut_points = _census_masks(g._adj, _core(facets), facets if chordal else None)
-    return CutSetCensus(minimal, cut_points, max(m.bit_count() for m in facets))
+    return CutSetCensus(minimal, cut_points, g._clique_number)
 
 
 # ---------------------------------------------------------------------------
@@ -679,25 +705,47 @@ def leaf_decomposition(g: Graph) -> LeafSplit:
 _FILTERS = ("all", "chordal", "block", "gblock")
 
 
-def _add_vertex(adj: list[int], facets: list[int], placed: int, k: int, nbrs: int, want: str) -> list[int] | None:
-    """Facets of H + k, where H is the graph on the mask `placed`, a member
-    of class `want` with maximal cliques `facets`, and vertex k joins it
-    with neighborhood `nbrs`; None when H + k leaves the class.
+def _add_vertex(adj: list[int], facets: list[int], placed: int, k: int, nbrs: int, want: str) -> tuple[list[int], bool] | None:
+    """(facets of H + k, block flag), where H is the graph on the mask
+    `placed`, a member of class `want` with maximal cliques `facets`, and
+    vertex k joins it with neighborhood `nbrs`; None when H + k leaves the
+    class.
 
     A chordless cycle through k runs k-x-P-y-k with x, y in nbrs nonadjacent
     and P inside one component of H - nbrs, so H + k is chordal exactly when
-    the vertices of nbrs next to each such component form a clique.  The
-    cliques through k are k plus a clique inside nbrs, and a maximal clique
-    of H[nbrs] lies in a facet of H, so the new facets are k joined to the
-    maximal members of {F & nbrs}; a facet of H stays maximal unless it
-    lies inside nbrs."""
-    for comp in _component_masks(adj, placed & ~nbrs):
-        touch = 0
-        for c in _bits(comp):
-            touch |= adj[c]
-        touch &= nbrs
-        for x in _bits(touch):
-            if touch & ~adj[x] & ~(1 << x):
+    the vertices of nbrs next to each such component form a clique.  When
+    nbrs is a clique, every such set is, and no component is searched;
+    otherwise the search that grows each component collects its
+    neighborhood as it goes.  The cliques through k are k plus a clique
+    inside nbrs, and a maximal clique of H[nbrs] lies in a facet of H, so
+    the new facets are k joined to the maximal members of {F & nbrs}; a
+    facet of H stays maximal unless it lies inside nbrs.
+
+    Only a vertex of a new facet has new facets through it, so under
+    'block' and 'gblock' the facets through k and through each vertex of
+    nbrs are tested.  The block flag says that each of those meets is its
+    vertex alone: H + k is then a block graph exactly when H is one, since
+    the facets through any other vertex are H's.  Under 'chordal' no meet
+    is tested and the flag is False."""
+    if not _is_clique(adj, nbrs):
+        # _component_masks's search, keeping each component's neighborhood;
+        # sharing one loop through a generator slows every other search
+        rem = placed & ~nbrs
+        while rem:
+            seen = frontier = rem & -rem
+            reach = 0
+            while frontier:
+                nxt = 0
+                f = frontier
+                while f:
+                    b = f & -f
+                    f ^= b
+                    nxt |= adj[b.bit_length() - 1]
+                reach |= nxt
+                frontier = nxt & rem & ~seen  # rem still holds this whole component
+                seen |= frontier
+            rem ^= seen
+            if not _is_clique(adj, reach & nbrs):
                 return None
     bit = 1 << k
     joined: list[int] = []
@@ -706,15 +754,19 @@ def _add_vertex(adj: list[int], facets: list[int], placed: int, k: int, nbrs: in
             joined.append(m)
     out = [f for f in facets if f & ~nbrs] + [m | bit for m in joined]
     if want == "chordal":
-        return out
-    # only a vertex of a new facet has new facets through it
+        return out, False
+    block = True
     for v in _bits(nbrs | bit):
         through = [f for f in out if f >> v & 1]
         if len(through) > 1:
             common = _common_meet(through)
-            if common is None or want == "block" and common != 1 << v:
+            if common is None:
                 return None
-    return out
+            if common != 1 << v:
+                if want == "block":
+                    return None
+                block = False
+    return out, block
 
 
 def enumerate_connected_graphs(n: int, classification: str | None = None):
@@ -730,11 +782,18 @@ def enumerate_connected_graphs(n: int, classification: str | None = None):
     classes are hereditary (the facets of G - v are the maximal members of
     {F - v}, and their intersections only lose v), so a prefix that leaves
     the class is dropped at once, and its facets are extended vertex by
-    vertex (see _add_vertex) and cached on the yielded graph.  The last
-    vertex tries only the neighborhoods that meet every component of the
-    graph already placed, so every leaf is connected and none is built to
-    be dropped.  Unfiltered, the search still tries all 2^C(n,2) edge sets,
-    so n is capped at 7.
+    vertex (see _add_vertex).  The last vertex tries only the
+    neighborhoods that meet every component of the graph already placed,
+    so every leaf is connected and none is built to be dropped.
+    Unfiltered, the search still tries all 2^C(n,2) edge sets, so n is
+    capped at 7.
+
+    Each yielded graph carries what its search built or proved, in the
+    slots of its cached fields: its adjacency masks, its edges in
+    increasing order and its one component; under a filter its facets; and
+    under 'block' and 'gblock' its clique number, the largest facet, and
+    its classification: chordal and generalized block, and a block graph
+    when every meet _add_vertex tested on the way was a single vertex.
     """
     if n > 7:
         raise SizeCap(f"enumeration is exponential in C(n,2); n={n} > 7")
@@ -747,15 +806,19 @@ def enumerate_connected_graphs(n: int, classification: str | None = None):
     full = (1 << n) - 1
     adj = [0] * n
 
-    def place(k: int, facets: list[int]):
+    def place(k: int, facets: list[int], block: bool):
         if k < 0:
             edges = [(u + 1, v + 1) for u in range(n) for v in _bits(adj[u] >> (u + 1) << (u + 1))]
             g = Graph(n, frozenset(edges))
-            # the yielded graph keeps what the search built, stored where
-            # its cached fields would store it
-            vars(g)["_adj"] = list(adj)
+            cache = vars(g)
+            cache["_adj"] = list(adj)
+            cache["_edge_list"] = edges
+            cache["_components"] = [full]
             if want != "all":
-                vars(g)["_facets"] = (facets, True)
+                cache["_facets"] = (facets, True)
+                if want != "chordal":
+                    omega = cache["_clique_number"] = max(map(int.bit_count, facets))
+                    cache["_classification"] = Classification(True, block, True, omega)
             yield g
             return
         bit = 1 << k
@@ -766,16 +829,18 @@ def enumerate_connected_graphs(n: int, classification: str | None = None):
             nbrs = m << (k + 1)
             if comps and not all(nbrs & c for c in comps):
                 continue
-            out = facets
+            out, out_block = facets, block
             if want != "all":
-                out = _add_vertex(adj, facets, placed, k, nbrs, want)
-                if out is None:
+                added = _add_vertex(adj, facets, placed, k, nbrs, want)
+                if added is None:
                     continue
+                out, new_block = added
+                out_block = block and new_block
             adj[k] = nbrs
             for w in _bits(nbrs):
                 adj[w] |= bit
-            yield from place(k - 1, out)
+            yield from place(k - 1, out, out_block)
             for w in _bits(nbrs):
                 adj[w] ^= bit
 
-    yield from place(n - 2, [1 << (n - 1)])
+    yield from place(n - 2, [1 << (n - 1)], True)

@@ -368,7 +368,7 @@ class Analysis:
         """See regularity_formula."""
         self._require_generalized_block()
         g, rows = self.graph, self.rows
-        comps = _component_masks(g._adj, (1 << g.n) - 1)
+        comps = g._components
         value = g.n - len(comps)
         if rows >= g.n:
             return FormulaResult("exact", value, "exact: row count at least vertex count")

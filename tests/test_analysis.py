@@ -101,8 +101,9 @@ def test_disconnected_graph_shares_one_census(calls):
 def test_one_component_pass_per_depth_and_regularity(g):
     """Once the census is built, the depth reads its component count and
     the regularity walks the components once, however the kernels are
-    imported."""
-    analysis = Analysis(g, 2)
+    imported.  The graph is a fresh copy, since a graph keeps its
+    components once they are found."""
+    analysis = Analysis(Graph(g.n, g.edges), 2)
     analysis.census
     names = {getattr(gbei.graphs, name).__code__: name for name in ("_component_masks", "_census_masks")}
     seen: Counter = Counter()

@@ -585,6 +585,34 @@ class TestEnumeration:
                     assert (sorted(facets), chordal) == (sorted(vars(w)["_facets"][0]), vars(w)["_facets"][1]), g
 
     @pytest.mark.parametrize("classification", [None, "chordal", "block", "gblock"])
+    def test_stored_facts_are_what_a_fresh_graph_computes(self, classification):
+        """Every field the search stores on a yielded graph equals the one a
+        fresh copy computes; only 'block' and 'gblock' store a
+        classification."""
+        stored = {"n", "edges", "_adj", "_edge_list", "_components"}
+        if classification:
+            stored.add("_facets")
+        if classification in ("block", "gblock"):
+            stored |= {"_classification", "_clique_number"}
+        for n in range(1, 7):
+            for g in enumerate_connected_graphs(n, classification):
+                assert set(vars(g)) == stored, g
+                fresh = Graph(g.n, g.edges)
+                assert g._adj == fresh._adj, g
+                assert g._edge_list == fresh._edge_list, g
+                assert g._components == fresh._components, g
+                facets, chordal = g._facets
+                assert (sorted(facets), chordal) == (sorted(fresh._facets[0]), fresh._facets[1]), g
+                assert g._clique_number == fresh._clique_number, g
+                assert g._classification == fresh._classification, g
+
+    def test_sorted_edges_is_a_copy_of_the_cached_list(self):
+        g = next(enumerate_connected_graphs(3, "gblock"))
+        edges = g.sorted_edges()
+        edges.append((1, 2))
+        assert g.sorted_edges() == sorted(g.edges) != edges
+
+    @pytest.mark.parametrize("classification", [None, "chordal", "block", "gblock"])
     def test_edge_masks_increase_and_cached_facets_are_the_facets(self, classification):
         for n in range(1, 7):
             masks = []
