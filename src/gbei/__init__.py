@@ -9,20 +9,14 @@ and an independent Stanley-Reisner homology oracle for cross-checking.
 
 from .graphs import (
     Classification,
-    CliqueComplex,
     CutSetCensus,
     Graph,
     GraphParseError,
-    LeafSplit,
     SizeCap,
     classify,
-    clique_complex,
-    connected_components,
     cut_set_census,
     enumerate_connected_graphs,
-    induced_subgraph,
     is_connected,
-    leaf_decomposition,
     parse_graph,
 )
 from .homology import (
@@ -76,7 +70,6 @@ __all__ = [
     "BasisValidationError",
     "BettiTable",
     "Classification",
-    "CliqueComplex",
     "CutSetCensus",
     "ELIM",
     "FormulaResult",
@@ -84,7 +77,6 @@ __all__ = [
     "GraphParseError",
     "GroebnerBasis",
     "Ideal",
-    "LeafSplit",
     "MinimalPrime",
     "Monomial",
     "Polynomial",
@@ -94,8 +86,6 @@ __all__ = [
     "antitone_maps",
     "buchberger",
     "classify",
-    "clique_complex",
-    "connected_components",
     "corpus_report",
     "cut_set_census",
     "depth_formula",
@@ -105,7 +95,6 @@ __all__ = [
     "hilbert_numerator",
     "hochster_betti",
     "ideal_equal",
-    "induced_subgraph",
     "initial_ideal",
     "intersect",
     "is_connected",
@@ -113,7 +102,6 @@ __all__ = [
     "is_reduced_basis",
     "is_unmixed",
     "krull_dimension",
-    "leaf_decomposition",
     "minimal_primes",
     "minor",
     "normal_form",

@@ -1,7 +1,9 @@
 """Finite simple graphs on vertex set {1..n}, and the combinatorics feeding
-the ideal-theoretic formulas: chordality, clique complexes with leaf orders,
-cut-set censuses, and the leaf-splitting step used to peel generalized block
-graphs.
+the ideal-theoretic formulas: parsing, chordality and the block
+classification, the cut-set census (read from a clique forest on a chordal
+graph), and the exhaustive enumeration of connected graphs.  The paper's
+leaf split of the clique complex is a second route to the census counts;
+it lives in the tests (tests/conftest.py) as their reference.
 
 Vertices are 1-based in the public API.  Internally most routines work on
 adjacency bitmasks (bit v-1 is vertex v), which keeps the exhaustive
@@ -17,7 +19,6 @@ neighborhoods at removal, plus Bron-Kerbosch on whatever is left.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 
 # the largest vertex count a graph file may declare: every facet is an n-bit
@@ -108,11 +109,11 @@ class Graph:
     @_cached_field
     def _facets(self) -> tuple[list[int], bool]:
         """(maximal clique masks, chordal flag), computed once per graph and
-        shared by classify, cut_set_census and clique_complex.  A filtered
-        enumerate_connected_graphs stores the facets it built vertex by
-        vertex, and under 'block' and 'gblock' _clique_number and
-        _classification with them; every enumerated graph also carries
-        _adj, _components and _edge_list."""
+        shared by classify and cut_set_census.  A graph yielded by a
+        filtered enumerate_connected_graphs carries the facets its search
+        built vertex by vertex, and under 'block' and 'gblock'
+        _clique_number and _classification with them; every enumerated
+        graph also carries _adj, _components and _edge_list."""
         return _facet_masks(self._adj)
 
     @_cached_field
@@ -323,53 +324,6 @@ def _core(facets) -> int:
     return core
 
 
-def _leaf_order(facets: list[int]) -> tuple[int, ...]:
-    """A leaf order of the facets of a chordal graph, as a permutation of
-    indices, built from its end: each step peels the last facet in list
-    order that is a leaf of those left.  A facet is a leaf when the union of
-    its meets with the others (its vertices in some other) is one of them.
-    The vertices of a peeled leaf off that union lie in no other facet, so
-    the facets left are those of an induced subgraph, again chordal, and
-    the clique complex of a chordal graph is a quasi-forest (Herzog-Hibi-
-    Zheng 2004): it has a leaf, and no step stalls."""
-    left = list(facets)
-    peeled = []
-    while len(left) > 1:
-        core = _core(left)
-        for pos in reversed(range(len(left))):
-            f = left[pos]
-            meet = f & core
-            if any(h & f == meet for h in left if h != f):
-                break
-        else:
-            raise AssertionError("no facet of a chordal graph is a leaf")
-        peeled.append(left.pop(pos))
-    index = {f: i for i, f in enumerate(facets)}
-    return tuple(index[f] for f in left + peeled[::-1])
-
-
-@dataclass(frozen=True)
-class CliqueComplex:
-    """Facets are the maximal cliques, listed in lexicographic vertex order.
-    leaf_order, present exactly when the graph is chordal, is a permutation
-    of facet indices in which each facet is a leaf of the subcomplex of it
-    and its predecessors.  It is peeled from its end: the last entry is the
-    last facet in list order that is a leaf of them all, the one before it
-    the last leaf of the rest, and so on.  A leaf always exists, since the
-    clique complex of a chordal graph is a quasi-forest (see _leaf_order)."""
-
-    facets: tuple[frozenset[int], ...]
-    leaf_order: tuple[int, ...] | None
-
-
-def clique_complex(g: Graph) -> CliqueComplex:
-    masks, chordal = g._facets
-    masks = sorted(masks, key=_mask_vertices)
-    order = _leaf_order(masks) if chordal else None
-    facets = tuple(frozenset(_mask_vertices(m)) for m in masks)
-    return CliqueComplex(facets=facets, leaf_order=order)
-
-
 @dataclass(frozen=True)
 class Classification:
     chordal: bool
@@ -425,31 +379,8 @@ def classify(g: Graph) -> Classification:
     return g._classification
 
 
-def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Vertex sets of the components, each sorted, ordered by least element."""
-    return tuple(sorted(_mask_vertices(m) for m in g._components))
-
-
 def is_connected(g: Graph) -> bool:
     return len(g._components) == 1
-
-
-def induced_subgraph(g: Graph, keep) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on `keep`, relabeled 1..k preserving vertex order.
-    Returns the graph and the old-to-new label map."""
-    kept = sorted(set(keep))
-    if not kept:
-        raise ValueError("cannot induce on an empty vertex set")
-    for v in kept:
-        if not (1 <= v <= g.n):
-            raise ValueError(f"vertex {v} outside 1..{g.n}")
-    relabel = {v: i + 1 for i, v in enumerate(kept)}
-    edges = [
-        (relabel[u], relabel[v])
-        for u, v in g.edges
-        if u in relabel and v in relabel
-    ]
-    return Graph.from_edges(len(kept), edges), relabel
 
 
 # ---------------------------------------------------------------------------
@@ -624,79 +555,6 @@ def cut_set_census(g: Graph) -> CutSetCensus:
     facets, chordal = g._facets
     minimal, cut_points = _census_masks(g._adj, _core(facets), facets if chordal else None)
     return CutSetCensus(minimal, cut_points, g._clique_number)
-
-
-# ---------------------------------------------------------------------------
-# leaf splitting
-
-@dataclass(frozen=True)
-class LeafSplit:
-    """One peeling step of a connected generalized block graph.
-
-    `leaf` is the last facet of the leaf order and `branches` are the other
-    facets meeting it; all of those intersections coincide in the set `cut`
-    (size `alpha`), which separates the graph into `q + 1` pieces.  Three
-    derived graphs drive the induction: `merged` replaces leaf and branches
-    by one clique on their union (same vertex set), while `minus_cut` and
-    `merged_minus_cut` restrict the original and merged graphs to the
-    complement of `cut`, relabeled via `relabel` (old label -> new label).
-    """
-
-    leaf: frozenset[int]
-    branches: tuple[frozenset[int], ...]
-    cut: frozenset[int]
-    alpha: int
-    q: int
-    merged: Graph
-    minus_cut: Graph
-    merged_minus_cut: Graph
-    relabel: dict[int, int]
-
-
-def leaf_decomposition(g: Graph) -> LeafSplit:
-    """Split off the last facet of clique_complex(g).leaf_order from a
-    connected generalized block graph with two or more facets (ValueError
-    otherwise); see LeafSplit.  The leaf F meets each other facet H inside
-    one meet F & G, so a branch H shares a vertex with F and G, and in a
-    generalized block graph F & H = F & G = G & H: the leaf and its
-    branches meet pairwise in one cut."""
-    if not is_connected(g):
-        raise ValueError("leaf decomposition needs a connected graph")
-    if not classify(g).generalized_block_graph:
-        raise ValueError("leaf decomposition needs a generalized block graph")
-    facets = sorted(g._facets[0], key=_mask_vertices)
-    if len(facets) < 2:
-        raise ValueError("graph is a single clique; nothing to split")
-    leaf = facets[_leaf_order(facets)[-1]]
-    branches = [f for f in facets if f & leaf and f != leaf]
-    cut = _common_meet([leaf, *branches])
-    if cut is None:
-        raise AssertionError("the leaf and the facets meeting it do not meet in one cut")
-
-    union = leaf
-    for f in branches:
-        union |= f
-    merged = Graph(g.n, g.edges | frozenset(combinations(_mask_vertices(union), 2)))
-
-    kept = _mask_vertices((1 << g.n) - 1 & ~cut)
-    minus_cut, relabel = induced_subgraph(g, kept)
-    merged_minus_cut, _ = induced_subgraph(merged, kept)
-
-    q = len(branches)
-    pieces = len(connected_components(minus_cut))
-    if pieces != q + 1:
-        raise AssertionError(f"removing the cut left {pieces} components, expected {q + 1}")
-    return LeafSplit(
-        leaf=frozenset(_mask_vertices(leaf)),
-        branches=tuple(frozenset(_mask_vertices(f)) for f in branches),
-        cut=frozenset(_mask_vertices(cut)),
-        alpha=cut.bit_count(),
-        q=q,
-        merged=merged,
-        minus_cut=minus_cut,
-        merged_minus_cut=merged_minus_cut,
-        relabel=relabel,
-    )
 
 
 # ---------------------------------------------------------------------------

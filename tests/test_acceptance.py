@@ -16,7 +16,6 @@ from gbei.graphs import (
     Graph,
     cut_set_census,
     enumerate_connected_graphs,
-    leaf_decomposition,
 )
 from gbei.homology import hilbert_check, hochster_betti
 from gbei.ideals import (
@@ -38,6 +37,7 @@ from conftest import (
     P3,
     initial_ideal_commutes_with_columns,
     is_path,
+    leaf_decomposition,
     monomial_ideal_equal,
 )
 

@@ -23,10 +23,7 @@ from gbei.graphs import (
     CutSetCensus,
     Graph,
     classify,
-    clique_complex,
-    connected_components,
     cut_set_census,
-    induced_subgraph,
     is_connected,
 )
 from gbei.homology import hochster_betti
@@ -34,7 +31,7 @@ from gbei.ideals import Analysis, FormulaResult
 from gbei.poly import VarGrid
 from gbei.report import corpus_report, invariants_report, render_text, verify_report
 
-from conftest import C4, FAN, P3, graph_of
+from conftest import C4, FAN, P3, clique_complex, connected_components, graph_of, induced_subgraph
 
 # a path on three vertices next to an edge: two components
 P3_PLUS_K2 = graph_of(5, (1, 2), (2, 3), (4, 5))

@@ -2,9 +2,11 @@
 vertices in two or more maximal cliques).  It is checked here against the
 exhaustive census over all 2^n removed sets, kept as the reference.  On a
 chordal graph the census counts components from a clique forest; that count
-is checked against a search for every removed set.  The census keeps masks
-and decodes its set views on first read; those views are checked against
-the frozensets the census used to build eagerly."""
+is checked against a search for every removed set, and its separators
+against the meets of the leaf order the tests keep as the paper's route
+(tests/conftest.py).  The census keeps masks and decodes its set views on
+first read; those views are checked against the frozensets the census used
+to build eagerly."""
 
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from gbei.graphs import Graph, classify, cut_set_census, enumerate_connected_gra
 from gbei.ideals import Analysis
 from gbei.report import invariants_report
 
-from conftest import C4, graph_of
+from conftest import C4, _leaf_order, graph_of
 
 C5 = graph_of(5, (1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
 
@@ -174,6 +176,27 @@ def test_separators_do_not_depend_on_the_facet_order():
     listed = gbei.graphs._facet_masks(g._adj)[0]
     assert sorted(listed) == sorted(facets)
     assert [a & b for a, b in zip(listed, listed[1:])] == [0b10, 0]
+
+
+def test_the_reference_peel_meets_the_clique_forest_separators():
+    """The leaf order the tests keep as the paper's route meets, facet by
+    facet, the union of the facets before it in exactly the separators of
+    the clique forest, as a multiset; the inclusion-minimal ones are the
+    census's minimal cut sets."""
+    seen = 0
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n, "chordal"):
+            facets = g._facets[0]
+            seps = sorted(gbei.graphs._separators(facets))
+            meets, union = [], 0
+            for i in _leaf_order(facets):
+                meets.append(facets[i] & union)
+                union |= facets[i]
+            assert sorted(m for m in meets if m) == seps, g
+            minimal = sorted({s for s in seps if not any(t != s and t & s == t for t in seps)})
+            assert minimal == cut_set_census(g)._minimal_masks, g
+            seen += 1
+    assert seen == 1 + 1 + 4 + 35 + 541 + 13302
 
 
 @pytest.mark.parametrize(

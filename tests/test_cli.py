@@ -681,7 +681,7 @@ class TestRenderParity:
 class TestReadmeExamples:
     """Each `$ gbei ...` example of the README prints every output line it
     shows, other than `...` and `timings:` lines, on the graph files its
-    `$ cat` examples show."""
+    `$ cat` examples show; its Library examples run as shown."""
 
     @pytest.mark.parametrize("command", ["classify", "invariants", "verify", "corpus"])
     def test_shown_lines_are_printed(self, capsys, tmp_path, monkeypatch, command):
@@ -696,6 +696,19 @@ class TestReadmeExamples:
         printed = out.splitlines()
         missing = [s for s in shown if s != "..." and not s.startswith("timings:") and s not in printed]
         assert code == 0 and missing == []
+
+    def test_library_examples_run(self, capsys):
+        """The Library section's `python` blocks run in order in one
+        namespace, and the last prints the corpus summary its comment
+        states."""
+        library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"^```python\n(.*?)^```", library, re.S | re.M)
+        assert len(blocks) == 3
+        namespace: dict = {}
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+        [stated] = re.findall(r'^print\(rep\["summary"\]\) +# (.*)$', blocks[-1], re.M)
+        assert capsys.readouterr().out.splitlines()[-1] == stated
 
 
 def test_console_script_smoke(tmp_path):

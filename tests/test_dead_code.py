@@ -5,15 +5,16 @@ referred to somewhere in the package outside its own body.  A helper that
 nothing calls is deleted, not left behind.  Likewise every module-level
 import of the package and of the tests is used by the file that makes it,
 the report turns only a size cap into a skipped verdict, every
-function the benchmark's tracer looks up by name is still there, every
-exported name has a user outside the tests, and every dataclass field
-is read."""
+function the benchmark's tracer looks up by name and every name the
+benchmark's files take from gbei is still there, every exported name has
+a user outside the tests, and every dataclass field is read."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import pkgutil
 import re
 from collections import Counter
 from pathlib import Path
@@ -22,7 +23,8 @@ import gbei
 
 PACKAGE = Path(gbei.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
-WORKER = TESTS.parent / "perfbench" / "worker.py"
+BENCH = TESTS.parent / "perfbench"
+WORKER = BENCH / "worker.py"
 README = TESTS.parent / "README.md"
 
 
@@ -174,10 +176,38 @@ def test_every_traced_name_is_a_public_function():
     assert missing == []
 
 
+def _gbei_reads(tree: ast.Module) -> set[str]:
+    """The dotted names `tree` takes from gbei: `gbei.x.a` for each
+    `from gbei.x import a`, and each `gbei.x.attr` it reads."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "gbei":
+            reads.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute) and re.fullmatch(r"gbei(\.\w+)+", dotted := ast.unparse(node)):
+            reads.add(dotted)
+    return reads
+
+
+def test_every_name_the_benchmark_takes_from_gbei_exists():
+    """A name the benchmark's own files import or read from gbei, which a
+    change to the package removed, would break the benchmark at import or
+    at collection, outside the tier-1 run."""
+    reads = set().union(*(_gbei_reads(_parse(path)) for path in sorted(BENCH.glob("*.py"))))
+    assert {"gbei.cli.main", "gbei.graphs.is_connected", "gbei.poly.normal_form"} <= reads
+    missing = []
+    for name in sorted(reads):
+        try:
+            pkgutil.resolve_name(name)
+        except (ImportError, AttributeError):
+            missing.append(name)
+    assert missing == []
+
+
 # exports that neither the package, the README's Library section nor the
 # benchmark's tracer uses, each with the reason it stays
 UNUSED_EXPORTS = {
     "hilbert_check": "the Hilbert-series reference the tests compare the oracle against, and the base of the planned Hilbert checks",
+    "is_connected": "perfbench/test_perfbench.py imports it to check that the generated inputs are connected",
 }
 
 

@@ -14,17 +14,28 @@ from gbei.graphs import (
     GraphParseError,
     MAX_VERTICES,
     classify,
-    clique_complex,
-    connected_components,
     cut_set_census,
     enumerate_connected_graphs,
-    induced_subgraph,
     is_connected,
-    leaf_decomposition,
     parse_graph,
 )
 
-from conftest import C4, FAN, K2, K3, K4, P3, P5, STAR, graph_of, is_path
+from conftest import (
+    C4,
+    FAN,
+    K2,
+    K3,
+    K4,
+    P3,
+    P5,
+    STAR,
+    clique_complex,
+    connected_components,
+    graph_of,
+    induced_subgraph,
+    is_path,
+    leaf_decomposition,
+)
 
 
 # ---------------------------------------------------------------------------
