@@ -19,6 +19,7 @@ neighborhoods at removal, plus Bron-Kerbosch on whatever is left.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 
 # the largest vertex count a graph file may declare: every facet is an n-bit
@@ -663,10 +664,11 @@ def enumerate_connected_graphs(n: int, classification: str | None = None):
 
     full = (1 << n) - 1
     adj = [0] * n
+    own: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # each vertex's edges to later ones
 
     def place(k: int, facets: list[int], block: bool):
         if k < 0:
-            edges = [(u + 1, v + 1) for u in range(n) for v in _bits(adj[u] >> (u + 1) << (u + 1))]
+            edges = list(chain.from_iterable(own))
             g = Graph(n, frozenset(edges))
             cache = vars(g)
             cache["_adj"] = list(adj)
@@ -695,6 +697,7 @@ def enumerate_connected_graphs(n: int, classification: str | None = None):
                 out, new_block = added
                 out_block = block and new_block
             adj[k] = nbrs
+            own[k] = [(k + 1, w + 1) for w in _bits(nbrs)]
             for w in _bits(nbrs):
                 adj[w] |= bit
             yield from place(k - 1, out, out_block)

@@ -21,10 +21,13 @@ error, which is what makes it a genuine cross-check.
 
 A subset with a vertex lying in no generator support inside it induces a
 cone, hence contributes nothing; the subsets that remain are exactly the
-unions of generator supports.  These are visited smallest first, and each
-restriction is settled by the first of three exact rules, reading smaller
-restrictions from a memo kept for the one call (_restriction_vectors):
+unions of generator supports.  These are visited in ascending int order,
+where every sub-union comes first, and each restriction is settled by the
+first of four exact rules, reading smaller restrictions from a memo kept
+for the one call (_restriction_vectors):
 
+- sphere: a generator alone restricts to the boundary of a simplex, whose
+  vector is known;
 - collapse: a vertex whose link is a cone (a dominated vertex, in the
   sense of Barmak-Minian's strong collapses) is removed without changing
   the homotopy type, so the restriction has the homology of a smaller one;
@@ -39,6 +42,7 @@ restrictions from a memo kept for the one call (_restriction_vectors):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from math import comb, gcd
@@ -60,9 +64,10 @@ def _support_mask(m: Monomial, grid: VarGrid) -> int:
 
 
 def _prune_masks(masks) -> tuple[int, ...]:
-    # inclusion-minimal supports, smallest first
+    # inclusion-minimal supports, in ascending int order, where a subset
+    # comes before its supersets
     kept: list[int] = []
-    for m in _by_size(set(masks)):
+    for m in sorted(set(masks)):
         if m == 0:
             raise ValueError("constant generator: the ideal is the whole ring")
         if not any(k & m == k for k in kept):
@@ -258,20 +263,23 @@ def _collapse_steps(gens: tuple[int, ...]) -> dict[int, list[tuple[int, int]]]:
     """For each vertex bit w, the pairs (N, Q) over the minimal nonfaces N
     containing w, where Q is the set of vertices x outside N for which
     (N - w) + x contains a nonface.  _dominated_vertex reads these for
-    every union; see there for why they do not depend on the union."""
+    every union; see there for why they do not depend on the union.
+
+    Such a nonface M is not inside N - w, a proper part of N, so M - N is
+    exactly {x} and M misses w: Q is the OR of the single vertices M - N
+    over the nonfaces M that miss w."""
     steps: dict[int, list[tuple[int, int]]] = {}
     for n in gens:
+        near = [(m, x) for m in gens if (x := m & ~n) and not x & (x - 1)]
         rest = n
         while rest:
             w = rest & -rest
             rest ^= w
-            base = n ^ w
             reach = 0
-            for m in gens:
-                extra = m & ~base
-                if not extra & (extra - 1):
-                    reach |= extra
-            steps.setdefault(w, []).append((n, reach & ~n))
+            for m, x in near:
+                if not m & w:
+                    reach |= x
+            steps.setdefault(w, []).append((n, reach))
     return steps
 
 
@@ -320,26 +328,14 @@ def _dominated_vertex(sigma: int, steps: dict[int, list[tuple[int, int]]]) -> in
 
 
 def _union_closure(gens) -> set[int]:
-    """Every union of a nonempty subset of gens, as a fold: after g the set
-    holds the earlier unions, each of them joined with g, and g alone."""
-    closure: set[int] = set()
+    """Every union of a nonempty subset of gens, as a fold from the empty
+    union: after g the set holds the earlier unions and each of them
+    joined with g."""
+    closure = {0}
     for g in gens:
-        closure |= {s | g for s in closure}
-        closure.add(g)
+        closure.update([s | g for s in closure])
+    closure.discard(0)
     return closure
-
-
-def _by_size(masks) -> list[int]:
-    """The masks ordered by (bit count, value), the order the keyed sort
-    `sorted(masks, key=lambda s: (s.bit_count(), s))` gives: bucketed by
-    bit count, each bucket sorted natively, with no key function."""
-    buckets: dict[int, list[int]] = {}
-    for s in masks:
-        buckets.setdefault(s.bit_count(), []).append(s)
-    ordered: list[int] = []
-    for size in sorted(buckets):
-        ordered.extend(sorted(buckets[size]))
-    return ordered
 
 
 def _restriction_vectors(gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
@@ -348,10 +344,14 @@ def _restriction_vectors(gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     other restrictions are cones); only nonzero vectors are kept.
 
     The unions are built by a fold over the generators (_union_closure)
-    and visited by increasing size (_by_size).  Each is settled by the
-    first of three rules that applies, reading smaller unions from the
+    and visited in ascending int order: a proper subset is a smaller int,
+    so this order puts every sub-union first.  Each is settled by the
+    first of four rules that applies, reading smaller unions from the
     dict:
 
+    - Sphere.  A generator g alone restricts to the boundary of the
+      simplex on g, a (|g| - 2)-sphere ({empty face} when |g| = 1), so
+      its vector is a 1 at index |g| - 1; these seed the dict.
     - Collapse.  Some v in sigma is dominated (_dominated_vertex, reading
       the masks _collapse_steps builds once for the call): either
       v is no vertex of the restriction D, which then equals the
@@ -360,9 +360,10 @@ def _restriction_vectors(gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
       star v * L, glued along L; the star and L are cones, hence
       contractible, so by Mayer-Vietoris D has the reduced homology over Z,
       and so the ranks over Q, of the restriction to sigma - v.  That
-      vector is read from the dict; if it is missing, either it is zero or
-      sigma - v is not a union of nonfaces, so that restriction is a cone
-      and the vector is zero anyway.
+      vector is read from the dict and stored for sigma as it is; if it
+      is missing, either it is zero or sigma - v is not a union of
+      nonfaces, so that restriction is a cone and the vector is zero
+      anyway.
     - Join.  The nonfaces inside sigma, listed only for the unions no
       collapse settles, fall into more than one connected group.  D is
       the join of the restrictions to the groups, each a smaller union,
@@ -373,20 +374,21 @@ def _restriction_vectors(gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     The dict is the memo of this one call.
     """
     steps = _collapse_steps(gens)
-    vectors: dict[int, tuple[int, ...]] = {}
-    for sigma in _by_size(_union_closure(gens)):
+    vectors = {g: (0,) * (g.bit_count() - 1) + (1,) for g in gens}
+    for sigma in sorted(_union_closure(gens).difference(gens)):
         v = _dominated_vertex(sigma, steps)
         if v:
-            vec = vectors.get(sigma ^ v)
+            if vec := vectors.get(sigma ^ v):
+                vectors[sigma] = vec
+            continue
+        inside = tuple(g for g in gens if g & sigma == g)
+        groups = _split_groups(inside)
+        if len(groups) > 1:
+            parts = [vectors.get(grp) for grp in groups]
+            vec = None if None in parts else reduce(_convolve, parts)
         else:
-            inside = tuple(g for g in gens if g & sigma == g)
-            groups = _split_groups(inside)
-            if len(groups) > 1:
-                parts = [vectors.get(grp) for grp in groups]
-                vec = None if None in parts else reduce(_convolve, parts)
-            else:
-                vertices = tuple(u for u in range(sigma.bit_length()) if sigma >> u & 1)
-                vec = _homology_vector(vertices, inside)
+            vertices = tuple(u for u in range(sigma.bit_length()) if sigma >> u & 1)
+            vec = _homology_vector(vertices, inside)
         if vec and any(vec):
             vectors[sigma] = vec
     return vectors
@@ -452,16 +454,16 @@ def hochster_betti(gens, grid: VarGrid) -> BettiTable:
     if n > MAX_ORACLE_VARS:
         raise SizeCap(f"{n} variables exceeds the oracle cap of {MAX_ORACLE_VARS}")
     masks = _prune_masks(_support_mask(m, grid) for m in gens)
+    tally = Counter((sigma.bit_count(), vec) for sigma, vec in _restriction_vectors(masks).items())
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    for sigma, vec in _restriction_vectors(masks).items():
-        size = sigma.bit_count()
+    for (size, vec), times in tally.items():
         for k, r in enumerate(vec):
             if not r:
                 continue
             i = size - k
             if i < 1:
                 raise AssertionError("restriction with a nonface cannot be a simplex")
-            entries[(i, size)] = entries.get((i, size), 0) + r
+            entries[(i, size)] = entries.get((i, size), 0) + r * times
     return BettiTable(ambient=n, entries=entries)
 
 

@@ -370,13 +370,14 @@ class _Packing:
     """The packed layout of one kernel call: every variable its inputs use
     gets a fixed-width field of one int (see the module docstring)."""
 
-    __slots__ = ("shifts", "width", "limit", "low", "guard", "modulus", "high")
+    __slots__ = ("shifts", "fields", "width", "limit", "low", "guard", "modulus", "high")
 
     def __init__(self, polys):
         variables = sorted({v for f in polys for m in f.terms for v, _ in m.exps})
         self.width = width = _FIELD_BITS
         # the most significant variable takes the most significant field
         self.shifts = {v: (len(variables) - 1 - r) * width for r, v in enumerate(variables)}
+        self.fields = variables[::-1]  # the variable of each field, from the lowest
         self.limit = (1 << (width - 1)) - 1  # the largest exponent below the guard bit
         self.low = sum(1 << s for s in self.shifts.values())
         self.guard = self.low << (width - 1)
@@ -400,8 +401,12 @@ class _Packing:
         return key
 
     def monomial(self, key: int) -> Monomial:
-        limit = self.limit
-        return Monomial(tuple((v, e) for v, s in self.shifts.items() if (e := key >> s & limit)))
+        exps = []  # the fields the key sets, from the most significant
+        while key:
+            f = (key.bit_length() - 1) // self.width
+            exps.append((self.fields[f], key >> f * self.width))
+            key &= (1 << f * self.width) - 1
+        return Monomial(tuple(exps))
 
     def pack(self, f: Polynomial) -> dict[int, int | Fraction]:
         """The packed terms of f, each coefficient coerced by _quotient, so
