@@ -68,6 +68,15 @@ def calls(catalogue: dict) -> list[dict]:
     for i, (n, _, _, labelings) in enumerate(catalogue["census"]):
         for rows in (2, 3):
             graph_calls("invariants", f"census{i}", n, rows, labelings)
+    # a path past the census cap: the census, the formulas and every check
+    # skip on their own caps, and --strict exits 3
+    path = [(v, v + 1) for v in range(1, 21)]
+    for command, rows in (("classify", None), ("invariants", 2), ("verify", 2)):
+        graph_calls(command, "path", 21, rows, [path])
+        graph_calls(command, "path", 21, rows, [path], ("--strict",))
+    # nothing skipped: --strict exits 0
+    n, _, _, labelings = catalogue["oracle"][0]
+    graph_calls("classify", "oracle0", n, None, labelings, ("--strict",))
     for n in range(1, 6):
         for rows in (2, 3):
             for fmt in ("text", "json"):
