@@ -89,11 +89,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return list(self._edge_list)
 
-    def degree(self, v: int) -> int:
-        if not (1 <= v <= self.n):
-            raise ValueError(f"vertex {v} outside 1..{self.n}")
-        return self._adj[v - 1].bit_count()
-
     @_cached_field
     def _adj(self) -> list[int]:
         adj = [0] * self.n

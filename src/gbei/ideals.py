@@ -85,18 +85,6 @@ class AdmissiblePath:
 
     vertices: tuple[int, ...]
 
-    @property
-    def start(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> int:
-        return self.vertices[-1]
-
-    @property
-    def interior(self) -> tuple[int, ...]:
-        return self.vertices[1:-1]
-
 
 def admissible_paths(g: Graph) -> tuple[AdmissiblePath, ...]:
     """All admissible paths, sorted by vertex sequence.

@@ -75,10 +75,6 @@ class VarGrid:
     def size(self) -> int:
         return self.rows * self.cols
 
-    def variables(self) -> list[Var]:
-        """All grid variables in decreasing precedence (row-major) order."""
-        return [(i, j) for i in range(1, self.rows + 1) for j in range(1, self.cols + 1)]
-
     def index(self, var: Var) -> int:
         """Row-major position of `var`, 0-based; the order-precedence rank."""
         i, j = var
@@ -109,14 +105,6 @@ class Monomial:
 
     def __init__(self, exps: tuple[tuple[Var, int], ...] = ()):
         self.exps = exps
-
-    @staticmethod
-    def make(mapping: dict[Var, int]) -> "Monomial":
-        items = tuple(sorted((v, e) for v, e in mapping.items() if e))
-        for _, e in items:
-            if e < 0:
-                raise ValueError("negative exponent")
-        return Monomial(items)
 
     @staticmethod
     def of(var: Var, power: int = 1) -> "Monomial":
@@ -249,10 +237,6 @@ class Polynomial:
     def __init__(self, terms: dict[Monomial, int | Fraction] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
         self._lead = None
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial()
 
     @staticmethod
     def variable(var: Var) -> "Polynomial":
@@ -421,12 +405,6 @@ class _Packing:
         lead, tail = divisor
         return self.polynomial({lead: 1, **dict(tail)})
 
-    def product(self, a: int, b: int) -> int:
-        p = a + b
-        if p & self.guard:
-            raise self.cap()
-        return p
-
     def divides(self, a: int, b: int) -> bool:
         """Whether monomial a divides monomial b."""
         g = self.guard
@@ -483,7 +461,7 @@ def _reduce(packing: _Packing, work: dict[int, int | Fraction], divisors) -> dic
             if (top - lead) & guard == guard:  # packing.divides(lead, m), inlined
                 shift = m - lead
                 for t, tc in tail:
-                    key = t + shift  # packing.product(t, shift), inlined
+                    key = t + shift  # the product row of the module docstring's table
                     if key & guard:
                         raise packing.cap()
                     s = work.get(key, 0) - c * tc
@@ -505,7 +483,7 @@ def _s_pair(packing: _Packing, f, g, l: int) -> dict[int, int | Fraction]:
     shift = l - lf
     work = {}
     for t, c in tf:
-        key = t + shift  # packing.product(t, shift), inlined
+        key = t + shift  # the product row of the module docstring's table
         if key & guard:
             raise packing.cap()
         work[key] = c

@@ -197,40 +197,36 @@ def _prime_intersection_check(analysis: Analysis) -> dict:
     return _check("prime-intersection", "pass" if same else "fail", detail)
 
 
-def classify_report(g: Graph) -> dict:
+def _graph_report(g: Graph, rows: int | None, command: str, classification_of, census_of) -> dict:
+    """What every single-graph report shares: the input echo and the
+    classification and census blocks, each read from its thunk inside its
+    lap, so that a report built on an `Analysis` classifies and takes the
+    census once, through the analysis."""
     laps: dict[str, float] = {}
     with _lap(laps, "classify"):
-        cls = _classification_block(classify(g))
+        cls = _classification_block(classification_of())
     with _lap(laps, "census"):
-        cen = _census_block(lambda: cut_set_census(g))
+        cen = _census_block(census_of)
     return {
         "schemaVersion": SCHEMA_VERSION,
-        "command": "classify",
-        "input": _input_block(g, None),
+        "command": command,
+        "input": _input_block(g, rows),
         "classification": cls,
         "census": cen,
         "timings": laps,
     }
+
+
+def classify_report(g: Graph) -> dict:
+    return _graph_report(g, None, "classify", lambda: classify(g), lambda: cut_set_census(g))
 
 
 def _invariants(analysis: Analysis, command: str) -> dict:
     """The report shared by `invariants` and `verify`, timings included."""
-    laps: dict[str, float] = {}
-    with _lap(laps, "classify"):
-        cls = _classification_block(analysis.classification)
-    with _lap(laps, "census"):
-        cen = _census_block(lambda: analysis.census)
-    with _lap(laps, "formulas"):
-        form = _formula_block(analysis)
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": command,
-        "input": _input_block(analysis.graph, analysis.rows),
-        "classification": cls,
-        "census": cen,
-        "formulas": form,
-        "timings": laps,
-    }
+    report = _graph_report(analysis.graph, analysis.rows, command, lambda: analysis.classification, lambda: analysis.census)
+    with _lap(report["timings"], "formulas"):
+        report["formulas"] = _formula_block(analysis)
+    return report
 
 
 def invariants_report(g: Graph, rows: int) -> dict:

@@ -7,7 +7,7 @@ import pytest
 
 from gbei.graphs import Graph, _common_meet, _core, _is_path, _mask_vertices, classify, is_connected
 from gbei.ideals import _minors_for_edges, gbei_generators, initial_ideal
-from gbei.poly import Ideal, Monomial, Polynomial, buchberger
+from gbei.poly import Ideal, Monomial, Polynomial, VarGrid, buchberger
 
 
 def graph_of(n: int, *edges: tuple[int, int]) -> Graph:
@@ -34,6 +34,16 @@ def is_path(g: Graph) -> bool:
 
 # ---------------------------------------------------------------------------
 # monomial ideals and the structural identities the tests check
+
+def monomial(mapping) -> Monomial:
+    """The monomial with the exponents of {variable: exponent}."""
+    return Monomial(tuple(sorted((v, e) for v, e in mapping.items() if e)))
+
+
+def grid_variables(grid: VarGrid) -> list[tuple[int, int]]:
+    """All grid variables in decreasing precedence (row-major) order."""
+    return [(i, j) for i in range(1, grid.rows + 1) for j in range(1, grid.cols + 1)]
+
 
 def minimal_generators(monomials) -> tuple[Monomial, ...]:
     """Minimal generating set of a monomial ideal, sorted descending."""

@@ -7,7 +7,8 @@ import of the package and of the tests is used by the file that makes it,
 the report turns only a size cap into a skipped verdict, every
 function the benchmark's tracer looks up by name and every name the
 benchmark's files take from gbei is still there, every exported name has
-a user outside the tests, and every dataclass field is read."""
+a user outside the tests, every dataclass field is read, and every method
+and property of a package class is read by the package or the README."""
 
 from __future__ import annotations
 
@@ -284,3 +285,52 @@ def test_every_dataclass_field_is_read():
 def test_the_field_scan_sees_the_dataclasses():
     fields = {f"{cls.name}.{name}" for tree in _trees().values() for cls, name in _dataclass_fields(tree)}
     assert {"Graph.n", "FormulaResult.kind", "MinimalPrime.dimension"} <= fields
+
+
+# methods and properties that neither the package nor the README's Library
+# section reads, each with the reason it stays
+UNUSED_METHODS = {
+    "Polynomial.scaled": "the tests' reference Buchberger in tests/test_poly.py forms its S-polynomials with it",
+    "Polynomial.monic": "the tests' reference Buchberger in tests/test_poly.py normalises its basis with it",
+}
+
+
+def _methods(tree: ast.Module):
+    """(class node, function node) for every method and property of the
+    module-level classes of `tree` whose name is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef) and not re.fullmatch(r"__\w+__", stmt.name):
+                    yield node, stmt
+
+
+def _library_examples() -> list[ast.Module]:
+    """The python blocks of the README's Library section, parsed."""
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", library, re.DOTALL)]
+
+
+def test_every_method_is_read_or_listed():
+    """A method or property earns its place by a read of its name as an
+    attribute: in package code outside its own body, or in an example of
+    the README's Library section (its prose does not count).  The scan
+    goes by name, so a method that shares its name with a read one passes
+    unseen."""
+    trees = _trees()
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    documented = set().union(*map(_attribute_reads, _library_examples()))
+    unused = [
+        f"{cls.name}.{fn.name}"
+        for tree in trees.values()
+        for cls, fn in _methods(tree)
+        if reads[fn.name] <= _attribute_reads(fn)[fn.name] and fn.name not in documented
+    ]
+    assert sorted(unused) == sorted(UNUSED_METHODS)
+
+
+def test_the_method_scan_sees_the_classes():
+    methods = {f"{cls.name}.{fn.name}" for tree in _trees().values() for cls, fn in _methods(tree)}
+    assert {"Polynomial.leading", "_Packing.lcm", "Analysis.census", "Graph._adj", "BettiTable.depth"} <= methods
+    assert not any(name.endswith("__") for name in methods)
+    assert {"groebner", "render", "depth", "counts"} <= set().union(*map(_attribute_reads, _library_examples()))

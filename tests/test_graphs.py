@@ -480,13 +480,6 @@ class TestComponents:
         assert not is_path(graph_of(4, (1, 2), (3, 4)))  # disconnected
         assert not is_path(C4)  # connected, every degree at most 2
 
-    def test_degree(self):
-        assert [STAR.degree(v) for v in range(1, 5)] == [3, 1, 1, 1]
-        assert graph_of(1).degree(1) == 0
-        for v in (0, 5):
-            with pytest.raises(ValueError):
-                STAR.degree(v)
-
 
 class TestLeafDecomposition:
     def test_path_example(self):

@@ -16,13 +16,13 @@ from gbei.homology import BettiTable, hilbert_check, hilbert_numerator, hochster
 from gbei.ideals import initial_ideal
 from gbei.poly import Monomial, VarGrid
 
-from conftest import CHERRY, DEPTH_SWEEP, FAN, K2, K3, K4, P3, graph_of
+from conftest import CHERRY, DEPTH_SWEEP, FAN, K2, K3, K4, P3, graph_of, grid_variables, monomial
 
 STAR6 = graph_of(6, (1, 2), (1, 3), (1, 4), (1, 5), (1, 6))
 
 
 def mono(*vars_) -> Monomial:
-    return Monomial.make({v: vars_.count(v) for v in vars_})
+    return monomial({v: vars_.count(v) for v in vars_})
 
 
 # Complexes are given by their minimal nonfaces as vertex bitmasks, and a
@@ -211,7 +211,7 @@ class TestStanleyReisner:
     def test_rejects_constant(self):
         grid = VarGrid(2, 2)
         with pytest.raises(ValueError):
-            hochster_betti([Monomial.make({})], grid)
+            hochster_betti([monomial({})], grid)
 
 
 class TestReducedHomology:
@@ -374,7 +374,7 @@ class TestBettiTables:
         rng = random.Random(20172)
         for _ in range(30):
             grid = VarGrid(2, rng.randint(1, 3))
-            variables = grid.variables()
+            variables = grid_variables(grid)
             gens = [
                 mono(*rng.sample(variables, rng.randint(2, min(5, grid.size))))
                 for _ in range(rng.randint(1, 5))
@@ -386,7 +386,7 @@ class TestBettiTables:
         rng = random.Random(20173)
         for _ in range(30):
             grid = VarGrid(2, rng.randint(1, 3))
-            variables = grid.variables()
+            variables = grid_variables(grid)
             gens = [mono(rng.choice(variables))] + [
                 mono(*rng.sample(variables, rng.randint(1, min(4, grid.size))))
                 for _ in range(rng.randint(0, 5))
@@ -517,7 +517,7 @@ class TestHilbert:
     def test_check_passes_on_random_squarefree_ideals(self, data):
         rows = data.draw(st.integers(2, 6))
         grid = VarGrid(rows, data.draw(st.integers(1, 12 // rows)))
-        supports = st.sets(st.sampled_from(grid.variables()), min_size=1, max_size=min(5, grid.size))
+        supports = st.sets(st.sampled_from(grid_variables(grid)), min_size=1, max_size=min(5, grid.size))
         gens = [mono(*s) for s in data.draw(st.lists(supports, max_size=8))]
         assert hilbert_check(gens, grid, hochster_betti(gens, grid))
 

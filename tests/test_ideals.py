@@ -52,14 +52,16 @@ from conftest import (
     P5,
     STAR,
     graph_of,
+    grid_variables,
     initial_ideal_commutes_with_columns,
     leaf_ideal_split,
+    monomial,
     monomial_ideal_equal,
 )
 
 
 def mono(*vars_) -> Monomial:
-    return Monomial.make({v: vars_.count(v) for v in vars_})
+    return monomial({v: vars_.count(v) for v in vars_})
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +121,14 @@ def reference_basis_element(am: AntitoneMap) -> Polynomial:
     """The interior monomial times the minor, through Monomial products."""
     verts, values = am.path.vertices, am.values
     r = len(verts) - 1
-    coeff = Monomial.make({(values[k], verts[k]): 1 for k in range(1, r)})
+    coeff = monomial({(values[k], verts[k]): 1 for k in range(1, r)})
     return reference_minor((values[r], values[0]), (verts[0], verts[r])).scaled(1, coeff)
 
 
 def grid_packing(n: int, rows: int):
     """The kernel's packing with a field for every variable of the
     rows x n grid."""
-    return _Packing([Polynomial.variable(v) for v in VarGrid(rows, n).variables()])
+    return _Packing([Polynomial.variable(v) for v in grid_variables(VarGrid(rows, n))])
 
 
 def connected_graph(order, extra) -> Graph:
@@ -214,8 +216,8 @@ class TestAdmissiblePaths:
     def test_interiors_avoid_the_endpoint_interval(self):
         for g in (P5, FAN, C4):
             for p in admissible_paths(g):
-                assert p.start < p.end
-                assert all(v < p.start or v > p.end for v in p.interior)
+                assert p.vertices[0] < p.vertices[-1]
+                assert all(v < p.vertices[0] or v > p.vertices[-1] for v in p.vertices[1:-1])
 
     def test_shortcut_free(self):
         # 5-2 is a chord of 1-5-4-2: it skips 4, so the proper subsequence
@@ -272,9 +274,9 @@ class TestAntitoneMaps:
                     values = maps[0].values
                     assert values[0] == 2 and values[-1] == 1
                     for v, row in zip(p.vertices, values):
-                        if v < p.start:
+                        if v < p.vertices[0]:
                             assert row == 2
-                        elif v > p.end:
+                        elif v > p.vertices[-1]:
                             assert row == 1
 
     def test_sequences_match_the_product_filter(self):
@@ -372,7 +374,7 @@ class TestInitialIdeal:
 
     @given(st.dictionaries(st.sampled_from([(i, j) for i in (1, 2) for j in (1, 2, 3)]), st.integers(1, 4)))
     def test_the_packed_rule_reads_as_the_monomial_rule(self, exps):
-        m = Monomial.make(exps)
+        m = monomial(exps)
         packing = grid_packing(3, 2)
         assert Analysis._squarefree(packing, packing.key(m)) == m.is_squarefree()
 

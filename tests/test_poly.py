@@ -29,7 +29,19 @@ from gbei.poly import (
     s_polynomial,
 )
 
-from conftest import CHERRY, K2, K3, K4, P3, STAR, graph_of, minimal_generators, monomial_ideal_equal
+from conftest import (
+    CHERRY,
+    K2,
+    K3,
+    K4,
+    P3,
+    STAR,
+    graph_of,
+    grid_variables,
+    minimal_generators,
+    monomial,
+    monomial_ideal_equal,
+)
 
 
 def mono(*vars_and_powers) -> Monomial:
@@ -37,7 +49,7 @@ def mono(*vars_and_powers) -> Monomial:
     for item in vars_and_powers:
         var, e = (item, 1) if len(item) == 2 else ((item[0], item[1]), item[2])
         d[var] = d.get(var, 0) + e
-    return Monomial.make(d)
+    return monomial(d)
 
 
 def var(i, j) -> Polynomial:
@@ -87,7 +99,7 @@ class TestOrder:
 
     def test_grid_variables_listed_in_precedence_order(self):
         g = VarGrid(2, 3)
-        vs = g.variables()
+        vs = grid_variables(g)
         assert vs == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
         assert all(Monomial.of(a) > Monomial.of(b) for a, b in zip(vs, vs[1:]))
         assert [g.index(v) for v in vs] == list(range(6))
@@ -122,13 +134,9 @@ class TestMonomial:
         assert not a.coprime(b)
         assert mono((1, 1)).coprime(mono((2, 2)))
 
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            Monomial.make({(1, 1): -1})
-
     def test_render(self):
         assert mono((1, 2, 3), (2, 1)).render() == "x[1,2]^3*x[2,1]"
-        assert Monomial.make({}).render() == "1"
+        assert monomial({}).render() == "1"
 
 
 class TestPolynomial:
@@ -137,8 +145,8 @@ class TestPolynomial:
         g = var(2, 1) + var(1, 3)
         assert (f + g) - g == f
         assert f * g == g * f
-        assert f + (-f) == Polynomial.zero()
-        assert not Polynomial.zero()
+        assert f + (-f) == Polynomial()
+        assert not Polynomial()
 
     def test_leading_term_under_the_fixed_order(self):
         f = minor2(1, 2, 1, 2)
@@ -147,13 +155,13 @@ class TestPolynomial:
 
     def test_zero_has_no_leading_term(self):
         with pytest.raises(ValueError):
-            Polynomial.zero().leading()
+            Polynomial().leading()
 
     def test_render_descending_terms_with_signs(self):
         f = minor2(1, 2, 1, 2)
         assert f.render() == "x[1,1]*x[2,2] - x[1,2]*x[2,1]"
         assert (-f).render() == "-x[1,1]*x[2,2] + x[1,2]*x[2,1]"
-        assert Polynomial.zero().render() == "0"
+        assert Polynomial().render() == "0"
         assert Polynomial.term(mono((1, 1)), Fraction(3, 2)).render() == "3/2*x[1,1]"
 
     def test_monic_divides_by_leading_coefficient(self):
@@ -217,7 +225,7 @@ class TestBuchberger:
 
     def test_empty_input(self):
         assert buchberger([]) == ()
-        assert buchberger([Polynomial.zero()]) == ()
+        assert buchberger([Polynomial()]) == ()
 
     def test_groebner_checker_rejects_non_basis(self):
         gens = [minor2(1, 2, 1, 2), minor2(1, 2, 1, 3)]
@@ -500,7 +508,7 @@ class TestPairQueue:
 # random inputs for the packed kernel: the elimination variable and a
 # 3 x 3 grid, exponents up to 3
 VARIABLES = [ELIM] + [(i, j) for i in range(1, 4) for j in range(1, 4)]
-monomials = st.dictionaries(st.sampled_from(VARIABLES), st.integers(1, 3), max_size=4).map(Monomial.make)
+monomials = st.dictionaries(st.sampled_from(VARIABLES), st.integers(1, 3), max_size=4).map(monomial)
 
 
 def packing_of(*ms: Monomial):
@@ -522,7 +530,7 @@ class TestPackedMonomials:
         assert packing.divides(ka, kb) == a.divides(b)
         assert packing.coprime(ka, kb) == a.coprime(b)
         assert packing.monomial(packing.lcm(ka, kb)) == a.lcm(b)
-        assert packing.monomial(packing.product(ka, kb)) == a * b
+        assert packing.monomial(ka + kb) == a * b
         if a.divides(b):
             assert packing.monomial(kb - ka) == b / a
 
@@ -532,11 +540,15 @@ class TestPackedMonomials:
             packing = packing_of(a, b)
             assert packing.limit == 3
             ka, kb = packing.key(a), packing.key(b)
-            if max((e for _, e in (a * b).exps), default=0) > 3:
-                with pytest.raises(SizeCap, match="packed-monomial limit of 3"):
-                    packing.product(ka, kb)
-            else:
-                assert packing.monomial(packing.product(ka, kb)) == a * b
+            # _s_pair shifts each tail term of a divisor by l less its lead:
+            # with lead 1 (key 0), tail a and l = b it forms the product a * b
+            # inline, in its first loop, and in its second with f and g swapped
+            for f, g in [((0, ((ka, 1),)), (kb, ())), ((kb, ()), (0, ((ka, 1),)))]:
+                if max((e for _, e in (a * b).exps), default=0) > 3:
+                    with pytest.raises(SizeCap, match="packed-monomial limit of 3"):
+                        gbei.poly._s_pair(packing, f, g, kb)
+                else:
+                    assert [packing.monomial(k) for k in gbei.poly._s_pair(packing, f, g, kb)] == [a * b]
             with pytest.raises(SizeCap, match="packed-monomial limit of 3"):
                 packing.key(a * Monomial.of((1, 1), 4))
 
@@ -561,7 +573,7 @@ row_minors = st.sampled_from([(i, j) for i in range(1, 5) for j in range(i + 1, 
 # binomials on a 2 x 2 grid, so that their leads overlap
 corner = st.dictionaries(
     st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), st.integers(1, 2), min_size=1, max_size=3
-).map(Monomial.make)
+).map(monomial)
 binomials = st.builds(
     lambda a, b, c: Polynomial.term(a) - Polynomial.term(b, c),
     corner,
@@ -725,9 +737,9 @@ class TestPairDegree:
     )
     def test_the_degree_shortcut_reads_the_per_field_sum(self, monkeypatch, width, grid, exponents, shortcut):
         monkeypatch.setattr(gbei.poly, "_FIELD_BITS", width)
-        variables = VarGrid(*grid).variables()
+        variables = grid_variables(VarGrid(*grid))
         packing = gbei.poly._Packing([Polynomial.variable(v) for v in variables])
-        m = Monomial.make(dict(zip(variables, exponents(shortcut_bound(width, len(variables)), len(variables)))))
+        m = monomial(dict(zip(variables, exponents(shortcut_bound(width, len(variables)), len(variables)))))
         key = packing.key(m)
         assert packing.degree(key) == m.degree
         assert (not key & packing.high) == shortcut
