@@ -9,7 +9,10 @@ variable precedence
 A variable is identified by its (row, col) pair, and precedence is exactly
 ascending tuple order on those pairs.  Ideal intersection uses one auxiliary
 elimination variable ranked above the whole grid; it gets the reserved key
-(0, 0) so the same comparison logic covers the extended ring.
+(0, 0) so the same comparison logic covers the extended ring.  The order
+is stated once per representation: by Monomial._key, and for packed
+monomials by int order (below).  A difference is a sum, Polynomial.__add__,
+with the negation.
 
 Coefficients are exact rationals held as Python ints, and as
 fractions.Fraction only where a division by a non-unit leaves one: every
@@ -31,7 +34,9 @@ bit of its field, the guard bit, so comparing two packed monomials as
 ints compares their exponents variable by variable from the most
 significant one down: int order is exactly the lex order above.  With G
 the mask of every guard bit, L the lowest bit of every field and W the
-field width, no operation carries or borrows across a field boundary:
+field width, no operation carries or borrows across a field boundary; the
+kernel applies the product, quotient and divides rows inline, and this
+table is where they are stated:
 
     product     a + b; a guard bit set in the sum means an exponent
                 outgrew its field, which raises SizeCap rather than wrap
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import total_ordering
 from heapq import heapify, heappop, heappush
 
 from .graphs import SizeCap
@@ -92,13 +98,14 @@ class VarGrid:
         return f"VarGrid({self.rows}, {self.cols})"
 
 
+@total_ordering
 class Monomial:
     """Immutable power product.
 
     Exponents are stored as a tuple of ((row, col), e) pairs with e > 0,
     sorted by variable key.  Since precedence is ascending key order, the
-    stored tuple lists variables from most to least significant, which makes
-    the lexicographic comparison a single merge pass.
+    stored tuple lists variables from most to least significant, and every
+    comparison reads _key.
     """
 
     __slots__ = ("exps",)
@@ -157,39 +164,14 @@ class Monomial:
         vs = {v for v, _ in self.exps}
         return all(v not in vs for v, _ in other.exps)
 
-    def _cmp(self, other: "Monomial") -> int:
-        """Lexicographic comparison: 1 if self > other, -1 if <, 0 if equal."""
-        a, b = self.exps, other.exps
-        ia = ib = 0
-        while ia < len(a) and ib < len(b):
-            (va, xa), (vb, xb) = a[ia], b[ib]
-            if va == vb:
-                if xa != xb:
-                    return 1 if xa > xb else -1
-                ia += 1
-                ib += 1
-            elif va < vb:
-                # self has positive exponent on a more significant variable
-                return 1
-            else:
-                return -1
-        if ia < len(a):
-            return 1
-        if ib < len(b):
-            return -1
-        return 0
+    def _key(self) -> tuple[tuple[int, int, int], ...]:
+        """The lex order as tuple order: each variable, from the most
+        significant, as (-row, -col, e), so that the first entry that
+        differs, or else the longer key, decides."""
+        return tuple((-i, -j, e) for (i, j), e in self.exps)
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self._key() < other._key()
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -266,14 +248,7 @@ class Polynomial:
         return Polynomial(d)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            s = d.get(m, 0) - c
-            if s:
-                d[m] = s
-            else:
-                d.pop(m, None)
-        return Polynomial(d)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial({m: -c for m, c in self.terms.items()})
@@ -339,9 +314,6 @@ class Polynomial:
     def __repr__(self):
         return self.render()
 
-    def __str__(self):
-        return self.render()
-
 
 # ---------------------------------------------------------------------------
 # the Buchberger kernel, on packed monomials
@@ -405,11 +377,6 @@ class _Packing:
         lead, tail = divisor
         return self.polynomial({lead: 1, **dict(tail)})
 
-    def divides(self, a: int, b: int) -> bool:
-        """Whether monomial a divides monomial b."""
-        g = self.guard
-        return ((b | g) - a) & g == g
-
     def lcm(self, a: int, b: int) -> int:
         t = ((a | self.guard) - b) & self.guard  # the guard bits of the fields where a >= b
         sel = t - (t >> (self.width - 1))  # the exponent bits of those fields
@@ -458,7 +425,7 @@ def _reduce(packing: _Packing, work: dict[int, int | Fraction], divisors) -> dic
         c = work.pop(m)
         top = m | guard
         for lead, tail in divisors:
-            if (top - lead) & guard == guard:  # packing.divides(lead, m), inlined
+            if (top - lead) & guard == guard:  # the divides row of the module docstring's table
                 shift = m - lead
                 for t, tc in tail:
                     key = t + shift  # the product row of the module docstring's table
@@ -516,7 +483,7 @@ def _interreduce(packing: _Packing, basis: list) -> list:
     for d in sorted(basis, key=lambda d: d[0]):
         top = d[0] | guard
         for k, _ in kept:
-            if (top - k) & guard == guard:  # packing.divides(k, d[0]), inlined
+            if (top - k) & guard == guard:  # the divides row of the module docstring's table
                 break
         else:
             kept.append(d)
@@ -662,8 +629,8 @@ def buchberger(gens) -> GroebnerBasis:
                 l = lcms[k] = lcm(leads[k], lead)
             return l
 
-        # criterion B: the lead divides l (packing.divides, inlined) and l is
-        # the lcm of neither new pair of the pair's elements
+        # criterion B: the lead divides l (the docstring's divides row) and
+        # l is the lcm of neither new pair of the pair's elements
         queue = [
             p for p in pairs
             if ((p[1] | guard) - lead) & guard != guard or lcm_with(p[2]) == p[1] or lcm_with(p[3]) == p[1]

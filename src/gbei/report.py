@@ -9,6 +9,10 @@ keys, fixed separators) so that parse + re-render is byte-identical.
 A corpus report can also be written one row at a time (`write_corpus`),
 from rows that are built as they are read (`corpus_stream`), so that its
 memory does not grow with the row count.
+
+The exit rules have one home each: `has_failure` and `has_skip` read a
+single-graph report, and `CorpusTally` counts a corpus one row at a time
+(a failed row, and for --strict a skipped verdict or formula block).
 """
 
 from __future__ import annotations
@@ -261,7 +265,7 @@ def corpus_stream(n: int, rows: int, filter_name: str, verify: bool, max_vars: i
     """The corpus report without its summary, with `rows` an iterator that
     builds each entry when it is read.  The enumeration's caps raise here,
     before any entry is built or written."""
-    graphs = enumerate_connected_graphs(n, None if filter_name == "all" else filter_name)
+    graphs = enumerate_connected_graphs(n, filter_name)
     first = list(islice(graphs, 1))
     return {
         "schemaVersion": SCHEMA_VERSION,
@@ -304,8 +308,6 @@ def verdict_of(checks) -> str:
 
 
 def has_failure(report: dict) -> bool:
-    if report["command"] == "corpus":
-        return report["summary"]["fail"] > 0
     ver = report.get("verification")
     return bool(ver) and verdict_of(ver["checks"]) == "fail"
 
@@ -315,10 +317,6 @@ def has_skip(report: dict) -> bool:
     skipped_formula = report.get("formulas", {}).get("status") == "skipped"
     ver = report.get("verification")
     skipped_check = bool(ver) and any(c["status"] == "skipped" for c in ver["checks"])
-    if report["command"] == "corpus":
-        return report["summary"]["skipped"] > 0 or any(
-            r["formulas"]["status"] == "skipped" for r in report["rows"]
-        )
     return skipped_census or skipped_formula or skipped_check
 
 

@@ -40,6 +40,13 @@ def monomial(mapping) -> Monomial:
     return Monomial(tuple(sorted((v, e) for v, e in mapping.items() if e)))
 
 
+def packed_divides(packing, a: int, b: int) -> bool:
+    """Whether the packed monomial a divides b, by the divides row of the
+    gbei.poly docstring: ((b | G) - a) & G == G, with G the guard bits."""
+    g = packing.guard
+    return ((b | g) - a) & g == g
+
+
 def grid_variables(grid: VarGrid) -> list[tuple[int, int]]:
     """All grid variables in decreasing precedence (row-major) order."""
     return [(i, j) for i in range(1, grid.rows + 1) for j in range(1, grid.cols + 1)]

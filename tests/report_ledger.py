@@ -3,10 +3,13 @@
 Each hash covers the call's exit code and its stdout, with the run
 metrics removed (the JSON `timings` key, the text `timings:` line), so it
 pins every printed result: provenance and detail strings, Betti tables,
-cut-set lists, corpus rows and the text rendering.  `parts` keeps a short
+cut-set lists, corpus rows and the text rendering.  A call that writes to
+stderr, an input error (exit 2), has its stderr in the hash as well; the
+input errors the ledger calls print no path and no argparse usage text,
+so their stderr is the same on every machine.  `parts` keeps a short
 digest of each part of a report, in order (a JSON key two levels down, a
-corpus row, a text line), so that a replay that differs can name the
-first part that moved.
+corpus row, a text line, then stderr when there is any), so that a replay
+that differs can name the first part that moved.
 
 The graphs are the first labeling of each shape of the benchmark's
 catalogue (`perfbench/refs.json`), read once when the ledger is recorded
@@ -77,6 +80,18 @@ def calls(catalogue: dict) -> list[dict]:
     # nothing skipped: --strict exits 0
     n, _, _, labelings = catalogue["oracle"][0]
     graph_calls("classify", "oracle0", n, None, labelings, ("--strict",))
+    # input errors (exit 2), each message with its line number or its value
+    for name, text in (
+        ("count-not-an-integer", "# a comment line\nfive\n1 2\n"),
+        ("edge-outside", "3\n1 2\n\n2 4\n"),
+        ("loop", "3\n1 2 # an edge\n2 2\n"),
+    ):
+        add(f"input-error/{name}/text", ["classify", "--graph", GRAPH], text)
+    add("input-error/rows-1/text", ["invariants", "--graph", GRAPH, "--rows", "1"], graph_text(2, [(1, 2)]))
+    add("input-error/max-vars--1/text", ["verify", "--graph", GRAPH, "--rows", "2", "--max-vars", "-1"],
+        graph_text(2, [(1, 2)]))
+    for n in (8, 0):
+        add(f"input-error/corpus-n{n}/text", ["corpus", "--enumerate", str(n), "--rows", "2"])
     for n in range(1, 6):
         for rows in (2, 3):
             for fmt in ("text", "json"):
@@ -92,30 +107,35 @@ def calls(catalogue: dict) -> list[dict]:
     return out
 
 
-def run(call: dict, folder: Path) -> tuple[int, str]:
-    """Exit code and stdout of one call, with the run metrics removed."""
+def run(call: dict, folder: Path) -> tuple[int, str, str]:
+    """Exit code, stdout with the run metrics removed, and stderr of one
+    call."""
     argv = list(call["argv"])
     if call["graph"] is not None:
         path = folder / "graph.txt"
         path.write_text(call["graph"], encoding="utf-8")
         argv[argv.index(GRAPH)] = str(path)
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     text = out.getvalue()
-    return code, TIMINGS_JSON.sub("", text) if "--json" in argv else TIMINGS_TEXT.sub("", text)
+    return code, TIMINGS_JSON.sub("", text) if "--json" in argv else TIMINGS_TEXT.sub("", text), err.getvalue()
 
 
-def digest(code: int, stdout: str) -> str:
-    return hashlib.sha256(f"{code}\n{stdout}".encode("utf-8")).hexdigest()
+def digest(code: int, stdout: str, stderr: str) -> str:
+    """The call's hash; stderr is folded in only when there is any, so a
+    call that writes none hashes its exit code and stdout alone."""
+    text = f"{code}\n{stdout}" + (f"\0stderr\n{stderr}" if stderr else "")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def parts(stdout: str, is_json: bool) -> list[tuple[str, str]]:
+def parts(stdout: str, is_json: bool, stderr: str) -> list[tuple[str, str]]:
     """(name, short digest) of each part of a report, in order: each JSON
-    key two levels down (each corpus row for `rows`), or each text line."""
+    key two levels down (each corpus row for `rows`), or each text line;
+    then stderr, when there is any."""
     if is_json:
         named = []
-        for key, value in json.loads(stdout).items():
+        for key, value in (json.loads(stdout) if stdout else {}).items():
             if isinstance(value, dict):
                 named += [(f"{key}.{k}", json.dumps(v, sort_keys=True)) for k, v in value.items()]
             elif isinstance(value, list):
@@ -124,12 +144,18 @@ def parts(stdout: str, is_json: bool) -> list[tuple[str, str]]:
                 named.append((key, json.dumps(value)))
     else:
         named = [(f"line {i + 1}", line) for i, line in enumerate(stdout.splitlines())]
+    if stderr:
+        named.append(("stderr", stderr))
     return [(name, hashlib.sha256(text.encode("utf-8")).hexdigest()[:8]) for name, text in named]
 
 
 def entry(call: dict, folder: Path) -> dict:
-    code, stdout = run(call, folder)
-    return {**call, "sha256": digest(code, stdout), "parts": [d for _, d in parts(stdout, "--json" in call["argv"])]}
+    code, stdout, stderr = run(call, folder)
+    return {
+        **call,
+        "sha256": digest(code, stdout, stderr),
+        "parts": [d for _, d in parts(stdout, "--json" in call["argv"], stderr)],
+    }
 
 
 def record(folder: Path) -> list[dict]:

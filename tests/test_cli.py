@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import gbei
 from gbei.cli import main
 from gbei.report import (
+    CorpusTally,
     classify_report,
     corpus_report,
     has_failure,
@@ -503,17 +504,23 @@ def shared_rows(monkeypatch, built_rows):
     monkeypatch.setattr("gbei.report._corpus_row", row)
 
 
-def expected_exit(rep: dict, strict: bool) -> int:
-    return 1 if has_failure(rep) else 3 if strict and has_skip(rep) else 0
+def expected_corpus_exit(rep: dict, strict: bool) -> int:
+    """The corpus exit rule, restated from the rows: a failed row exits 1;
+    under --strict, a row whose checks were all skipped (its verdict) or
+    whose formula block was skipped exits 3; anything else exits 0."""
+    if any(row["verdict"] == "fail" for row in rep["rows"]):
+        return 1
+    skipped = any(row["verdict"] == "skipped" or row["formulas"]["status"] == "skipped" for row in rep["rows"])
+    return 3 if strict and skipped else 0
 
 
 def assert_streams_the_report(capsys, n: int, rows: int, filt: str, flags: list[str]):
     """`corpus` writes `to_json` and `render_text` of `corpus_report`, byte
-    for byte, and exits as `has_failure` and `has_skip` on it say."""
+    for byte, and exits as the restated corpus rule on it says."""
     rep = corpus_report(n, rows, filt, "--verify" in flags)
     argv = ["corpus", "--enumerate", str(n), "--rows", str(rows), "--filter", filt, *flags]
-    assert run(capsys, *argv, "--json", "--strict") == (expected_exit(rep, True), to_json(rep), "")
-    assert run(capsys, *argv) == (expected_exit(rep, False), render_text(rep), "")
+    assert run(capsys, *argv, "--json", "--strict") == (expected_corpus_exit(rep, True), to_json(rep), "")
+    assert run(capsys, *argv) == (expected_corpus_exit(rep, False), render_text(rep), "")
 
 
 class TestCorpusStream:
@@ -538,8 +545,20 @@ class TestCorpusStream:
 
         monkeypatch.setattr("gbei.report._corpus_row", row)
         rep = corpus_report(4, 2, "gblock", False)
-        assert (has_failure(rep), has_skip(rep)) == (value == "fail", value != "fail")
+        assert expected_corpus_exit(rep, True) == (1 if value == "fail" else 3)
+        assert expected_corpus_exit(rep, False) == (1 if value == "fail" else 0)
         assert_streams_the_report(capsys, 4, 2, "gblock", [])
+
+    def test_a_row_without_closed_forms_exits_3_under_strict(self, capsys, shared_rows):
+        """No row is patched: C4 is on 4 vertices and is not a generalized
+        block graph, so its formula block is skipped."""
+        rep = corpus_report(4, 2, "all", False)
+        c4 = [row for row in rep["rows"] if row["edges"] == [[1, 2], [1, 4], [2, 3], [3, 4]]]
+        assert [row["formulas"]["status"] for row in c4] == ["skipped"]
+        assert all(row["verdict"] == "pass" for row in rep["rows"])
+        argv = ["corpus", "--enumerate", "4", "--rows", "2", "--filter", "all"]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, "--strict")[0] == 3
 
     def test_memory_does_not_grow_with_the_row_count(self):
         """The 6,582 rows of the 6-vertex corpus pass through a discarding
@@ -650,9 +669,12 @@ class TestVerdicts:
 
     def test_corpus_failure_counting(self):
         report = corpus_report(3, 2, "gblock", False)
-        assert not has_failure(report)
-        report["summary"]["fail"] = 1
-        assert has_failure(report)
+        tally = CorpusTally()
+        for entry in report["rows"]:
+            tally.add(entry)
+        assert tally.summary == report["summary"] and tally.summary["fail"] == 0
+        tally.add({**report["rows"][0], "verdict": "fail"})
+        assert tally.summary["fail"] == 1 and not tally.skipped
 
     def test_has_skip(self):
         assert not has_skip(classify_report(P5))
@@ -699,16 +721,19 @@ class TestReadmeExamples:
 
     def test_library_examples_run(self, capsys):
         """The Library section's `python` blocks run in order in one
-        namespace, and the last prints the corpus summary its comment
-        states."""
+        namespace; the last two print the corpus summary and the exit code
+        of `corpus --strict` that their comments state, and that exit code
+        is the command's."""
         library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
         blocks = re.findall(r"^```python\n(.*?)^```", library, re.S | re.M)
-        assert len(blocks) == 3
+        assert len(blocks) == 4
         namespace: dict = {}
         for block in blocks:
             exec(compile(block, str(README), "exec"), namespace)
-        [stated] = re.findall(r'^print\(rep\["summary"\]\) +# (.*)$', blocks[-1], re.M)
-        assert capsys.readouterr().out.splitlines()[-1] == stated
+        [stated] = re.findall(r'^print\(rep\["summary"\]\) +# (.*)$', blocks[-2], re.M)
+        [stated_exit] = re.findall(r"^print\(strict_exit\) +# (.*)$", blocks[-1], re.M)
+        assert capsys.readouterr().out.splitlines()[-2:] == [stated, stated_exit]
+        assert run(capsys, "corpus", "--enumerate", "5", "--rows", "2", "--strict")[0] == namespace["strict_exit"]
 
 
 def test_console_script_smoke(tmp_path):

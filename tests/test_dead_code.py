@@ -7,8 +7,10 @@ import of the package and of the tests is used by the file that makes it,
 the report turns only a size cap into a skipped verdict, every
 function the benchmark's tracer looks up by name and every name the
 benchmark's files take from gbei is still there, every exported name has
-a user outside the tests, every dataclass field is read, and every method
-and property of a package class is read by the package or the README."""
+a user outside the tests, every dataclass field is read, every method
+and property of a package class is read by the package or the README,
+and each method name that two package classes share is listed with where
+each class's method is read."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import importlib
 import inspect
 import pkgutil
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import gbei
@@ -316,7 +318,7 @@ def test_every_method_is_read_or_listed():
     attribute: in package code outside its own body, or in an example of
     the README's Library section (its prose does not count).  The scan
     goes by name, so a method that shares its name with a read one passes
-    unseen."""
+    here; SHARED_METHOD_NAMES lists those names."""
     trees = _trees()
     reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
     documented = set().union(*map(_attribute_reads, _library_examples()))
@@ -334,3 +336,70 @@ def test_the_method_scan_sees_the_classes():
     assert {"Polynomial.leading", "_Packing.lcm", "Analysis.census", "Graph._adj", "BettiTable.depth"} <= methods
     assert not any(name.endswith("__") for name in methods)
     assert {"groebner", "render", "depth", "counts"} <= set().union(*map(_attribute_reads, _library_examples()))
+
+
+# the non-dunder method names that two or more package classes define.  The
+# scan above goes by name, so a read of one counts for all of them; here
+# each class says where its own method is read: in a package function
+# ("module.function" or "module.Class.method"), in the README's Library
+# section, or only by the tests, with the reason it stays
+SHARED_METHOD_NAMES = {
+    "coprime": {
+        "Monomial": "tests: test_poly.py checks _Packing.coprime against it and its reference Buchberger reads it",
+        "_Packing": "poly.is_groebner_basis",
+    },
+    "degree": {
+        "Monomial": "tests: test_poly.py checks _Packing.degree against it and conftest.minimal_generators sorts by it",
+        "_Packing": "poly.buchberger",
+    },
+    "depth": {"Analysis": "report._formula_block", "BettiTable": "report._verification_block"},
+    "lcm": {
+        "Monomial": "tests: test_poly.py checks _Packing.lcm against it and its reference Buchberger reads it",
+        "_Packing": "poly.buchberger",
+    },
+    "regularity": {"Analysis": "report._formula_block", "BettiTable": "report._verification_block"},
+    "render": {"BettiTable": "README", "Monomial": "poly.Polynomial.render", "Polynomial": "poly.Polynomial.__repr__"},
+}
+
+
+def _function(trees: dict[str, ast.Module], place: str) -> ast.FunctionDef:
+    """The function or method that "module.function" or
+    "module.Class.method" names."""
+    module, *path = place.split(".")
+    node = trees[module]
+    for name in path:
+        node = next(n for n in node.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
+    return node
+
+
+def test_every_shared_method_name_is_listed():
+    """SHARED_METHOD_NAMES lists exactly the method names that two or more
+    package classes define, each with exactly the classes that define it,
+    and each place it names reads the name as an attribute.  Like the scan
+    above, this cannot tell receivers apart: that the read is of that
+    class's method is the table's word, which the test does not check."""
+    trees = _trees()
+    owners = defaultdict(set)
+    for tree in trees.values():
+        for cls, fn in _methods(tree):
+            owners[fn.name].add(cls.name)
+    shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
+    listed = {name: set(places) for name, places in SHARED_METHOD_NAMES.items()}
+    # each name shared but unlisted, or listed but no longer shared by those
+    # classes, with the classes that define it now
+    moved = {name: owners[name] for name in shared.keys() | listed.keys() if shared.get(name) != listed.get(name)}
+    assert moved == {}
+    tests = sum((_attribute_reads(_parse(path)) for path in TESTS.glob("*.py")), Counter())
+    documented = set().union(*map(_attribute_reads, _library_examples()))
+    unread = []
+    for name, places in SHARED_METHOD_NAMES.items():
+        for cls, place in places.items():
+            if place.startswith("tests: "):
+                read = tests[name] > 0
+            elif place == "README":
+                read = name in documented
+            else:
+                read = _attribute_reads(_function(trees, place))[name] > 0
+            if not read:
+                unread.append(f"{cls}.{name}: {place}")
+    assert unread == []
