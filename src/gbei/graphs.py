@@ -392,9 +392,9 @@ class CutSetCensus:
     mask order.  The component counts of a chordal graph are read from a
     clique forest, c(G - T) = c(G) + #{separators inside T} - #{facets
     inside T}, and those of any other graph are found by a search (see
-    _census_masks for the proof).  a(i) and counts count bits; the set
-    views are decoded on first read, so a consumer of the counts alone
-    decodes nothing.
+    _census_masks for the proof).  a(i) and counts read one tally of the
+    minimal masks' bit counts; the set views are decoded on first read, so
+    a consumer of the counts alone decodes nothing.
 
     minimal_cut_sets groups the minimal cut sets by cardinality.  counts[i]
     is a(i) for i up to the clique number minus one (the only range the
@@ -405,9 +405,19 @@ class CutSetCensus:
     _cut_point_masks: dict[int, int]
     clique_number: int
 
+    @_cached_field
+    def _sizes(self) -> dict[int, int]:
+        """The number of minimal cut sets of each cardinality, tallied in
+        one pass over the masks."""
+        sizes: dict[int, int] = {}
+        for m in self._minimal_masks:
+            i = m.bit_count()
+            sizes[i] = sizes.get(i, 0) + 1
+        return sizes
+
     def a(self, i: int) -> int:
         """Number of minimal cut sets of cardinality i (0 when none)."""
-        return sum(m.bit_count() == i for m in self._minimal_masks)
+        return self._sizes.get(i, 0)
 
     @property
     def counts(self) -> dict[int, int]:

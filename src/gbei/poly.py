@@ -467,28 +467,53 @@ def _s_pair(packing: _Packing, f, g, l: int) -> dict[int, int | Fraction]:
     return work
 
 
-def _interreduce(packing: _Packing, basis: list) -> list:
-    """Turn a Groebner basis of monic divisors into the reduced Groebner
-    basis, by decreasing lead.
+def _reducible(packing: _Packing, tail, leads) -> bool:
+    """Whether one of the packed leads divides a term of the tail."""
+    guard = packing.guard
+    for t, _ in tail:
+        top = t | guard
+        for lead in leads:
+            if (top - lead) & guard == guard:  # the divides row of the module docstring's table
+                return True
+    return False
 
-    Each tail is reduced against the whole kept list, its own element
+
+def _interreduce(packing: _Packing, basis: list, start: int) -> list:
+    """Turn a Groebner basis of monic divisors, listed in the order they
+    were added, into the reduced Groebner basis, by decreasing lead.  The
+    elements from position `start` on are remainders: no term of one is
+    divisible by the lead of an element before it.
+
+    A tail is reduced against the whole kept list, its own element
     included.  That gives the remainder the others would give: every term
     of the tail, and every term a reduction step leaves, is below the
     element's own lead, and a lead divides no smaller monomial, so the
-    element is never the divisor chosen."""
+    element is never the divisor chosen.  A remainder's tail is already
+    irreducible by every lead added before it, so it is tested against the
+    kept leads added after it only, and reduced only when one of them
+    divides a term; a generator's tail is always reduced."""
     # drop elements whose lead is divisible by another retained lead;
     # ascending sort means any proper divisor was seen first
     guard = packing.guard
-    kept: list = []
-    for d in sorted(basis, key=lambda d: d[0]):
-        top = d[0] | guard
+    kept: list = []  # (lead, position)
+    for p, (lead, _) in sorted(enumerate(basis), key=lambda e: e[1][0]):
+        top = lead | guard
         for k, _ in kept:
             if (top - k) & guard == guard:  # the divides row of the module docstring's table
                 break
         else:
-            kept.append(d)
+            kept.append((lead, p))
     # no lead is divisible by another, so only the tails need reducing
-    reduced = [(lead, tuple(_reduce(packing, dict(tail), kept).items())) for lead, tail in kept]
+    divisors = [basis[p] for _, p in kept]
+    kept.sort(key=lambda e: e[1], reverse=True)
+    reduced = []
+    later: list[int] = []  # the kept leads added after the element at hand
+    for lead, p in kept:
+        tail = basis[p][1]
+        if p < start or _reducible(packing, tail, later):
+            tail = tuple(_reduce(packing, dict(tail), divisors).items())
+        reduced.append((lead, tail))
+        later.append(lead)
     reduced.sort(key=lambda d: d[0], reverse=True)
     return reduced
 
@@ -567,7 +592,7 @@ def buchberger(gens) -> GroebnerBasis:
       (criterion F: of equal lcms a coprime pair is taken first, then the
       earliest g).  The candidates are taken by increasing packed lcm, and
       a divisor never packs to the larger int, so each is tested against
-      the lcms taken before it, coprime ones included;
+      the lcms taken before it;
     - a queued pair (a, b) is dropped when t divides its lcm l and l is
       neither lcm(a, h) nor lcm(b, h) (criterion B): l is then a proper
       multiple of both, and the pairs (a, h) and (h, b) cover (a, b).
@@ -576,12 +601,30 @@ def buchberger(gens) -> GroebnerBasis:
     whose lead no later lead divides.  S-polynomials are reduced against
     that set, which is a complete reduction, because every redundant lead
     is a multiple of a kept one, and the result is interreduced from it.
-    An update makes one pass over the kept leads, forming each one's lcm
-    with the new lead, listing the new pair candidates and noting whether
-    the new lead divides a kept lead, which is then its own lcm with it;
-    only then are the kept elements filtered.  It forms the lcm with the
-    lead of an element of a queued pair only when the new lead divides
-    that pair's lcm, which criterion B reads; no lcm is formed twice.
+    An update makes one pass over the kept leads that share a variable
+    with t, forming each one's lcm with t, listing the new pair
+    candidates and noting whether t divides a kept lead, which is then
+    its own lcm with it; only then are the kept elements filtered.
+
+    A kept lead c coprime to t gets no lcm and no candidate.  Its pair is
+    never queued, and dropping a coprime candidate changes nothing, so c
+    could matter only by dropping the candidate of a kept k whose lead
+    shares a variable with t, and it drops that only when c divides the
+    lead of k: its lcm is c*t, and c*t divides lcm(k, t) only then, since
+    lcm(k, t) agrees with that lead on c's variables, which t lacks.  Of
+    two kept leads one divides the other only when the earlier properly
+    divides the later (a later lead that divides an earlier one drops it),
+    and only when the later is an unreduced generator (a remainder is
+    reduced by every kept lead).  The pass sees that for free, as the later
+    lead is then its own lcm with the earlier one, and it widens the
+    earlier lead's mark, the guard bits of the fields it uses, to every
+    field, so that it takes part in every later update.  A unit divides
+    every lead, and its mark is every field from the start.  So the pairs
+    queued are exactly those of an update over every kept lead.  The lcm
+    with the lead of an element of a queued pair is formed only when t
+    divides that pair's lcm, which criterion B reads; no lcm is formed
+    twice.
+
     The queue is a heap keyed on (lcm degree, lcm, i, j) that carries
     each pair's lcm to its S-polynomial: the new pairs are pushed onto
     it, and it is heapified again only when criterion B dropped a pair.
@@ -598,10 +641,11 @@ def buchberger(gens) -> GroebnerBasis:
     """
     polys = [f for f in gens if f]
     packing = _Packing(polys)
-    guard, lcm = packing.guard, packing.lcm
+    guard, low, lcm = packing.guard, packing.low, packing.lcm
     modulus = packing.modulus
     basis: list = []
     leads: list[int] = []
+    marks: list[int] = []  # each lead's mark, widened to every field for a divider
     degrees: list[int] = []
     kept: list[int] = []  # the non-redundant elements, by index
     reducers: list = []
@@ -609,18 +653,26 @@ def buchberger(gens) -> GroebnerBasis:
 
     def update(element):
         t, lead, degree = len(basis), element[0], packing.degree(element[0])
-        # one pass over the kept leads: each lcm with the new lead, the new
-        # pair candidates, and whether the new lead divides a kept lead,
-        # which is then its own lcm with it
+        # the guard bits of the lead's nonzero fields (the coprime row of the
+        # module docstring's table), or of every field for a unit
+        mark = ((lead | guard) - low) & guard or guard
+        # one pass over the kept leads whose marks meet the new lead's: each
+        # lcm with the new lead, the new pair candidates, whether the new
+        # lead divides a kept lead, which is then its own lcm with it, and
+        # the kept leads that properly divide the new lead, whose marks
+        # widen to every field
         lcms = {}
         candidates = []
         divides_kept = False
         for k in kept:
-            lk = leads[k]
-            l = lcms[k] = lcm(lk, lead)
-            if l == lk:
-                divides_kept = True
-            candidates.append((l, l != lk + lead, k))
+            if marks[k] & mark:
+                lk = leads[k]
+                l = lcms[k] = lcm(lk, lead)
+                if l == lk:
+                    divides_kept = True
+                elif l == lead:
+                    marks[k] = guard
+                candidates.append((l, l != lk + lead, k))
         candidates.sort()
 
         def lcm_with(k):  # criterion B's, formed on first use
@@ -655,9 +707,10 @@ def buchberger(gens) -> GroebnerBasis:
                 heappush(pairs, p)
         basis.append(element)
         leads.append(lead)
+        marks.append(mark)
         degrees.append(degree)
         if divides_kept:
-            kept[:] = [k for k in kept if lcms[k] != leads[k]]
+            kept[:] = [k for k in kept if lcms.get(k) != leads[k]]
             reducers[:] = [basis[k] for k in kept]
         kept.append(t)
         reducers.append(element)
@@ -669,7 +722,7 @@ def buchberger(gens) -> GroebnerBasis:
         h = _reduce(packing, _s_pair(packing, basis[i], basis[j], l), reducers)
         if h:
             update(_divisor(h))
-    return GroebnerBasis(packing, _interreduce(packing, reducers))
+    return GroebnerBasis(packing, _interreduce(packing, reducers, sum(k < len(polys) for k in kept)))
 
 
 def is_groebner_basis(basis) -> bool:

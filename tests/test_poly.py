@@ -470,13 +470,14 @@ class TestPairQueue:
         assert any(ELIM in mono.support for f, _ in reference for mono in f.terms)
 
     def test_each_pair_lcm_is_computed_once(self, monkeypatch):
-        # an update forms the new lead's lcm with every kept lead, which the
-        # new pairs read, and with the lead of an element of a queued pair
-        # only when the new lead divides that pair's lcm (criterion B); the
-        # kept leads are those no later lead divides, and the queue is read
-        # from the running update
-        formed, added, strays = [], [], []
-        kept_at: dict[int, set[int]] = {}
+        # an update forms the new lead's lcm exactly with the kept leads it
+        # shares a variable with (a unit shares one with every lead), the
+        # kept leads that properly divide a later lead added before it, and
+        # the leads criterion B reads: for each queued pair whose lcm the
+        # new lead divides, its first element's, and its second's when the
+        # first's lcm is not the pair's; the kept leads are those no later
+        # lead divides, and the queue is read as the update starts
+        formed, added, queues, strays = [], [], [], []
         lcm, divisor = gbei.poly._Packing.lcm, gbei.poly._divisor
 
         def recording(packing, a, b):
@@ -484,27 +485,66 @@ class TestPairQueue:
             while frame.f_code.co_name != "update":
                 frame = frame.f_back
             t = len(added) - 1
-            if t not in kept_at:
-                kept_at[t] = {
-                    added[k] for k in range(t)
-                    if not any(packed_divides(packing, c, added[k]) for c in added[k + 1 : t])
-                }
-            pairs = frame.f_locals["pairs"]
-            queued = {added[x] for _, l, i, j in pairs if packed_divides(packing, b, l) for x in (i, j)}
-            if b != added[t] or a not in kept_at[t] | queued:
+            if b != added[t]:
                 strays.append((a, b))
             formed.append((t, a))
             return lcm(packing, a, b)
 
+        def adding(terms):
+            # called by buchberger just before each update, with its queue
+            added.append(max(terms))
+            queues.append(list(sys._getframe(1).f_locals["pairs"]))
+            return divisor(terms)
+
         monkeypatch.setattr(gbei.poly._Packing, "lcm", recording)
-        monkeypatch.setattr(gbei.poly, "_divisor", lambda terms: added.append(max(terms)) or divisor(terms))
+        monkeypatch.setattr(gbei.poly, "_divisor", adding)
         a, b = elimination_ideal_pair()
-        assert len(intersect(a, b).groebner()) == 6
+        gb = intersect(a, b).groebner()
+        assert len(gb) == 6
         assert strays == []
         assert len(set(formed)) == len(formed)
-        assert all(kept <= {lead for u, lead in formed if u == t} for t, kept in kept_at.items())
+        packing = gb.packing
+
+        def divides(u, v):
+            return packed_divides(packing, u, v)
+
+        def shares(u, v):
+            return not u or not v or not packing.coprime(u, v)
+
+        for t, lead in enumerate(added):
+            kept = [k for k in range(t) if not any(divides(c, added[k]) for c in added[k + 1 : t])]
+            want = {added[k] for k in kept if shares(added[k], lead)}
+            want |= {added[k] for k in kept if any(divides(added[k], c) and added[k] != c for c in added[k + 1 : t])}
+            for _, l, i, j in queues[t]:
+                if divides(lead, l):
+                    want.add(added[i])
+                    if lcm(packing, added[i], lead) != l:
+                        want.add(added[j])
+            assert {u for s, u in formed if s == t} == want, t
         # fewer than the lcm with every earlier lead
         assert len(formed) < len(added) * (len(added) - 1) // 2
+
+    # x[1,1] divides the lead x[1,1] x[2,2] of the minor after it; x[2,2]
+    # shares no variable with x[1,1], yet their pair's lcm equals the
+    # minor's with x[2,2], so criterion F drops the minor's pair.  A unit
+    # divides every lead, and the update takes it to share a variable with
+    # every lead, in both directions
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [var(1, 1), minor2(1, 2, 1, 2), var(2, 2) - var(2, 3)],
+            [var(1, 1), var(1, 2), minor2(1, 2, 1, 2), minor2(1, 2, 2, 3), var(2, 2) - var(2, 3)],
+            [minor2(1, 2, 1, 3), Polynomial.term(ONE, 3), minor2(1, 2, 1, 3), var(1, 2) - var(2, 3)],
+        ],
+        ids=["x11-minor-x22", "two-dividers", "unit"],
+    )
+    def test_a_lead_that_divides_a_later_lead_keeps_its_coprime_pairs(self, s_pairs, gens):
+        leads = [f.leading_monomial() for f in gens]
+        assert any(a.divides(b) and a != b for i, a in enumerate(leads) for b in leads[i + 1 :])
+        reference = []
+        want = reference_gebauer_moeller(gens, reference)
+        assert buchberger(gens) == want
+        assert s_pairs == reference
 
 
 # random inputs for the packed kernel: the elimination variable and a
@@ -572,6 +612,12 @@ grid_minors = st.builds(minor2, st.just(1), st.integers(2, 3), st.just(1), st.in
 row_minors = st.sampled_from([(i, j) for i in range(1, 5) for j in range(i + 1, 5)]).map(
     lambda cols: minor2(1, 2, *cols)
 )
+# a variable of the 3 x 3 grid, alone or less a smaller one
+grid_linear = st.builds(
+    lambda a, b: var(*a) - var(*b) if a < b else var(*a),
+    st.sampled_from([(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]),
+    st.sampled_from([(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]),
+)
 # binomials on a 2 x 2 grid, so that their leads overlap
 corner = st.dictionaries(
     st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), st.integers(1, 2), min_size=1, max_size=3
@@ -600,6 +646,21 @@ class TestAgainstTheReference:
         assert want == reference_buchberger(gens)
         assert is_groebner_basis(want) and is_reduced_basis(want)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(grid_linear, min_size=1, max_size=2),
+        st.lists(grid_minors, min_size=1, max_size=2),
+        st.lists(grid_linear, min_size=1, max_size=2),
+    )
+    def test_leads_that_divide_later_leads(self, first, minors, last):
+        # a variable ahead of a minor through it divides the minor's lead
+        gens = [*first, *minors, *last]
+        reference, formed = [], []
+        want = reference_gebauer_moeller(gens, reference)
+        with mock.patch.object(gbei.poly, "_s_pair", recording_s_pairs(formed)):
+            assert buchberger(gens) == want
+        assert formed == reference
+
     @settings(max_examples=15, deadline=None)
     @given(st.sets(st.sampled_from([(u, v) for u in range(1, 5) for v in range(u + 1, 5)]), min_size=1), st.data())
     def test_intersection_of_two_primes(self, edges, data):
@@ -609,6 +670,27 @@ class TestAgainstTheReference:
         with mock.patch.object(gbei.poly, "buchberger", packed(reference_buchberger)):
             want = intersect(a.ideal, b.ideal).groebner()
         assert intersect(a.ideal, b.ideal).groebner() == want
+
+
+class TestInterreduce:
+    """The final interreduction tests a remainder's tail against the leads
+    added after it only, and reduces it when one of them divides a term."""
+
+    def test_a_remainder_tail_reducible_by_a_later_lead(self, monkeypatch):
+        gens = [
+            Polynomial.term(mono((1, 1, 3), (2, 1))) - Polynomial.term(mono((1, 1, 2), (2, 1, 3))),
+            Polynomial.term(mono((1, 1, 2), (2, 1))) - Polynomial.term(mono((1, 2, 2), (2, 1))),
+            minor2(1, 2, 1, 2),
+        ]
+        verdicts = []
+        reducible = gbei.poly._reducible
+        monkeypatch.setattr(
+            gbei.poly, "_reducible", lambda *args: verdicts.append(reducible(*args)) or verdicts[-1]
+        )
+        gb = buchberger(gens)
+        assert True in verdicts
+        assert gb == reference_buchberger(gens)
+        assert is_reduced_basis(gb)
 
 
 def exact(*polys: Polynomial) -> bool:
